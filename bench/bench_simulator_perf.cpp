@@ -5,8 +5,11 @@
 // Besides the google-benchmark micro benches, this binary runs a DSE sweep
 // benchmark on an R-MAT graph: the same candidate population is evaluated
 // through the pre-reuse code path (no WorkloadContext — every candidate
-// re-transposes / re-schedules) and through the memoized path, reporting
-// candidates/sec for both and writing BENCH_dse.json.
+// re-transposes / re-schedules), through the scalar memoized path
+// (Omega::run with a shared context, the oracle), and through the batched
+// eval core every search drives (candidates lowered onto the AC/CA chains,
+// PipelineEvalPlan::evaluate_batch per block), reporting candidates/sec
+// for each and writing BENCH_dse.json.
 //
 // Knobs: OMEGA_DSE_SCALE (R-MAT scale, default 16 => 65536 vertices),
 //        OMEGA_DSE_EDGES (edge budget, default 524288),
@@ -32,12 +35,13 @@
 //
 // --pipeline-dse runs the N-phase search sweep (run_pipeline_dse_sweep): an
 // EDP search over a 3-phase GAT-style chain, gating prune-parity (pruned
-// best == unpruned best) and scalar/delta/batched path parity, writing
+// best == unpruned best) and scalar/batched path parity, writing
 // BENCH_pipeline_dse.json. Knobs: OMEGA_PDSE_SCALE_PCT, OMEGA_PDSE_CANDIDATES,
 // OMEGA_PDSE_JSON.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -112,7 +116,7 @@ void BM_MappingSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_MappingSearch)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-// ---- DSE sweep: scalar / delta / batched candidates/sec ---------------------
+// ---- DSE sweep: uncached / scalar / batched candidates/sec ------------------
 
 struct SweepTiming {
   double seconds = 0.0;      // median over the timed repeats
@@ -224,7 +228,7 @@ int run_dse_sweep(std::size_t repeat) {
       });
 
   // Scalar through the reuse layer: one context shared by the whole sweep
-  // (the pre-delta hot path, kept as the oracle).
+  // (the pre-eval-core hot path, kept as the oracle).
   const WorkloadContext context(w.adjacency);
   (void)context.reverse_graph();  // pre-warm, as search_mappings does
   std::vector<std::uint64_t> scalar_cycles;
@@ -245,49 +249,51 @@ int run_dse_sweep(std::size_t repeat) {
                         });
       });
 
-  // Delta core: per-candidate evaluation through the plan's term cache.
-  const auto plan = EvalPlan::obtain(omega, w, layer, context);
-  std::vector<std::uint64_t> delta_cycles;
-  const SweepTiming delta = time_sweep(
-      candidates.size(), repeat, &delta_cycles,
-      [&](std::vector<std::uint64_t>& out) {
-        parallel_blocks(candidates.size(),
-                        [&](std::size_t begin, std::size_t end) {
-                          DeltaState state;
-                          for (std::size_t i = begin; i < end; ++i) {
-                            const EvalOutcome o =
-                                plan->evaluate_one(candidates[i], state);
-                            out[i] = o.ok ? o.cycles : 0;
-                          }
-                        });
-      });
-
-  // Batched core: struct-of-arrays evaluation of whole candidate blocks —
-  // the path search_mappings drives by default.
+  // Batched core: the path every search drives. Each candidate is lowered
+  // onto its phase order's chain (AC = 0, CA = 1) exactly as
+  // search_mappings lowers it, and each block's same-chain runs flow
+  // through PipelineEvalPlan::evaluate_batch.
+  const std::size_t pes = omega.config().num_pes;
+  const std::array<std::shared_ptr<const PipelineEvalPlan>, 2> plans = {
+      PipelineEvalPlan::obtain(omega, w,
+                               two_phase_chain(PhaseOrder::kAC, layer),
+                               context),
+      PipelineEvalPlan::obtain(omega, w,
+                               two_phase_chain(PhaseOrder::kCA, layer),
+                               context)};
+  std::vector<PipelineCandidate> lowered;
+  lowered.reserve(candidates.size());
+  for (const DataflowDescriptor& df : candidates) {
+    lowered.push_back(lower_two_phase_candidate(
+        df, df.phase_order == PhaseOrder::kCA ? 1 : 0, layer, pes));
+  }
   std::vector<std::uint64_t> batched_cycles;
   const SweepTiming batched = time_sweep(
       candidates.size(), repeat, &batched_cycles,
       [&](std::vector<std::uint64_t>& out) {
-        parallel_blocks(candidates.size(),
-                        [&](std::size_t begin, std::size_t end) {
-                          DeltaState state;
-                          const std::size_t n = end - begin;
-                          std::vector<const DataflowDescriptor*> dfs(n);
-                          std::vector<EvalOutcome> outs(n);
-                          for (std::size_t j = 0; j < n; ++j) {
-                            dfs[j] = &candidates[begin + j];
-                          }
-                          plan->evaluate_batch({dfs.data(), n}, outs.data(),
-                                               state);
-                          for (std::size_t j = 0; j < n; ++j) {
-                            out[begin + j] =
-                                outs[j].ok ? outs[j].cycles : 0;
-                          }
-                        });
+        parallel_blocks(
+            lowered.size(), [&](std::size_t begin, std::size_t end) {
+              std::array<PipelineDeltaState, 2> states;
+              std::vector<PipelineBindingView> views;
+              std::vector<EvalOutcome> outs;
+              for (std::size_t j = begin; j < end;) {
+                const std::size_t run = j;
+                const std::size_t c = lowered[j].chain_index;
+                views.clear();
+                while (j < end && lowered[j].chain_index == c) {
+                  views.push_back(lowered[j++].view());
+                }
+                outs.assign(views.size(), EvalOutcome{});
+                plans[c]->evaluate_batch(views, outs.data(), states[c]);
+                for (std::size_t k = 0; k < views.size(); ++k) {
+                  out[run + k] = outs[k].ok ? outs[k].cycles : 0;
+                }
+              }
+            });
       });
 
   // Parity gates: the scalar results on the baseline indices must be
-  // bit-identical to the context-free runs, and delta/batched must be
+  // bit-identical to the context-free runs, and batched must be
   // bit-identical to scalar over the full sweep.
   std::vector<std::uint64_t> scalar_on_baseline;
   for (std::size_t i = 0; i < baseline.size(); ++i) {
@@ -295,7 +301,6 @@ int run_dse_sweep(std::size_t repeat) {
         i, candidates.size(), baseline.size())]);
   }
   const bool identical = uncached_cycles == scalar_on_baseline &&
-                         delta_cycles == scalar_cycles &&
                          batched_cycles == scalar_cycles;
   const double speedup = uncached.candidates_per_sec > 0.0
                              ? scalar.candidates_per_sec /
@@ -313,11 +318,11 @@ int run_dse_sweep(std::size_t repeat) {
   };
   report("uncached: ", uncached, baseline.size());
   report("scalar:   ", scalar, candidates.size());
-  report("delta:    ", delta, candidates.size());
   report("batched:  ", batched, candidates.size());
+  const ContextEvalStats eval = context.eval_stats();
   std::cout << "  (" << context.phase_cache_size() << " phase sims, "
-            << plan->term_count() << " terms ("
-            << plan->term_timeline_bytes() / (1024 * 1024)
+            << eval.terms << " terms ("
+            << eval.term_bytes / (1024 * 1024)
             << " MiB chunked timelines), "
             << context.schedule_cache_size() << " schedules)\n"
             << "speedup:  " << fixed(speedup, 2)
@@ -354,9 +359,8 @@ int run_dse_sweep(std::size_t repeat) {
     jw.member("repeat", static_cast<std::uint64_t>(repeat));
     jw.member("phase_sims",
               static_cast<std::uint64_t>(context.phase_cache_size()));
-    jw.member("terms", static_cast<std::uint64_t>(plan->term_count()));
-    jw.member("term_timeline_bytes",
-              static_cast<std::uint64_t>(plan->term_timeline_bytes()));
+    jw.member("terms", eval.terms);
+    jw.member("term_timeline_bytes", eval.term_bytes);
     jw.member("threads", static_cast<std::uint64_t>(default_thread_count()));
     const auto emit_timing = [&](const char* name, const SweepTiming& t) {
       jw.key(name).begin_object();
@@ -367,7 +371,6 @@ int run_dse_sweep(std::size_t repeat) {
     };
     emit_timing("uncached", uncached);
     emit_timing("cached", scalar);  // historical key: the scalar context path
-    emit_timing("delta", delta);
     emit_timing("batched", batched);
     jw.member("speedup", speedup);
     jw.member("batched_speedup_vs_scalar", batched_vs_scalar);
@@ -757,9 +760,9 @@ int run_pipeline_study() {
 /// sparse-dense aggregation -> sparse-weight transform), the EDP-pruned
 /// search must return the same best candidate (key, cycles, energy, score)
 /// as the unpruned one — the lossless-pruning contract of
-/// dse/pipeline_search.hpp — and the scalar / delta / batched evaluation
-/// paths must produce bit-identical ranked + Pareto sets. Throughput of the
-/// three paths and the pruning win are reported and written to
+/// dse/pipeline_search.hpp — and the scalar and batched evaluation paths
+/// must produce bit-identical ranked + Pareto sets. Throughput of the two
+/// paths and the pruning win are reported and written to
 /// BENCH_pipeline_dse.json. Knobs: OMEGA_PDSE_SCALE_PCT (Cora scale in
 /// percent, default 25), OMEGA_PDSE_CANDIDATES (cap, default 512),
 /// OMEGA_PDSE_JSON (output path).
@@ -804,17 +807,14 @@ int run_pipeline_dse_sweep() {
 
   PipelineSearchOptions scalar_opt = base;
   scalar_opt.eval_path = EvalPath::kScalar;
-  PipelineSearchOptions delta_opt = base;
-  delta_opt.eval_path = EvalPath::kDelta;
   PipelineSearchOptions pruned_opt = base;
   pruned_opt.prune = true;
 
   const auto [batched, batched_s] = timed(base);
   const auto [scalar, scalar_s] = timed(scalar_opt);
-  const auto [delta, delta_s] = timed(delta_opt);
   const auto [pruned, pruned_s] = timed(pruned_opt);
 
-  // Path parity: the three evaluation cores must agree bit-for-bit on the
+  // Path parity: the two evaluation cores must agree bit-for-bit on the
   // ranked list and the Pareto frontier.
   const auto same_sets = [](const PipelineSearchResult& a,
                             const PipelineSearchResult& b) {
@@ -835,8 +835,7 @@ int run_pipeline_dse_sweep() {
     }
     return true;
   };
-  const bool path_parity =
-      same_sets(batched, scalar) && same_sets(batched, delta);
+  const bool path_parity = same_sets(batched, scalar);
 
   // Prune parity: the lossless-bound contract — same best, fewer
   // evaluations.
@@ -856,14 +855,12 @@ int run_pipeline_dse_sweep() {
             << fixed(batched_s, 3) << " s)\n"
             << "scalar:  " << fixed(rate(scalar, scalar_s), 1)
             << " candidates/sec\n"
-            << "delta:   " << fixed(rate(delta, delta_s), 1)
-            << " candidates/sec\n"
             << "pruned:  " << fixed(rate(pruned, pruned_s), 1)
             << " candidates/sec (" << pruned.evaluated << " evaluated + "
             << pruned.pruned << " culled)\n"
             << "path parity:  "
             << (path_parity ? "bit-identical" : "MISMATCH")
-            << " across scalar/delta/batched\n"
+            << " across scalar/batched\n"
             << "prune parity: " << (prune_parity ? "same best" : "MISMATCH")
             << " (best " << pb.key << ", " << with_commas(pb.cycles)
             << " cycles)\n"
@@ -893,7 +890,6 @@ int run_pipeline_dse_sweep() {
     };
     emit_path("batched", batched, batched_s);
     emit_path("scalar", scalar, scalar_s);
-    emit_path("delta", delta, delta_s);
     emit_path("pruned", pruned, pruned_s);
     jw.member("path_parity", path_parity ? "bit-identical" : "mismatch");
     jw.member("prune_parity", prune_parity ? "same best" : "mismatch");

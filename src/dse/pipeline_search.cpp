@@ -509,6 +509,20 @@ double pipeline_energy_lower_bound(std::span<const PipelinePhaseWork> work,
   return pj;
 }
 
+PipelineChainSpec two_phase_chain(PhaseOrder order, const LayerSpec& layer) {
+  // The probe descriptor only fixes engines and widths — Seq with
+  // all-temporal unit tiles is valid for any workload, and only its chain
+  // projection survives.
+  DataflowDescriptor probe;
+  probe.inter = InterPhase::kSequential;
+  probe.phase_order = order;
+  probe.agg.phase = GnnPhase::kAggregation;
+  probe.agg.order = LoopOrder(Dim::kV, Dim::kN, Dim::kF);
+  probe.cmb.phase = GnnPhase::kCombination;
+  probe.cmb.order = LoopOrder(Dim::kV, Dim::kF, Dim::kG);
+  return PipelineChainSpec::of(two_phase_pipeline(probe, layer));
+}
+
 PipelineCandidate lower_two_phase_candidate(const DataflowDescriptor& df,
                                             std::size_t chain_index,
                                             const LayerSpec& layer,
@@ -908,56 +922,40 @@ PipelineSearchResult search_pipeline_mappings(
             }
             return;
           }
-          // Per-block states (delta slots never cross threads), one per
-          // chain so multi-chain sweeps keep per-position reuse.
+          // Per-block states (L1 slots never cross threads), one per chain
+          // so multi-chain sweeps keep per-position reuse. Maximal runs of
+          // same-chain candidates flow through one evaluate_batch call.
           std::vector<PipelineDeltaState> states(chains.size());
-          if (options.eval_path == EvalPath::kDelta) {
-            for (std::size_t j = begin; j < end; ++j) {
-              const std::size_t i = eval_order[from + j];
-              const std::size_t c = cands[i].chain_index;
-              const EvalOutcome o =
-                  plans[c]->evaluate_one(cands[i].view(), states[c]);
-              if (o.ok) {
-                metrics[i] = {o.cycles, o.on_chip_pj};
+          std::vector<PipelineBindingView> views;
+          std::vector<EvalOutcome> outs;
+          std::size_t j = begin;
+          while (j < end) {
+            const std::size_t run_begin = j;
+            const std::size_t c = cands[eval_order[from + j]].chain_index;
+            while (j < end && cands[eval_order[from + j]].chain_index == c) {
+              ++j;
+            }
+            const std::size_t m = j - run_begin;
+            views.clear();
+            views.reserve(m);
+            for (std::size_t k = 0; k < m; ++k) {
+              views.push_back(cands[eval_order[from + run_begin + k]].view());
+            }
+            outs.assign(m, EvalOutcome{});
+            plans[c]->evaluate_batch({views.data(), m}, outs.data(),
+                                     states[c]);
+            for (std::size_t k = 0; k < m; ++k) {
+              const std::size_t i = eval_order[from + run_begin + k];
+              if (outs[k].ok) {
+                metrics[i] = {outs[k].cycles, outs[k].on_chip_pj};
                 ok[i] = 1;
               }
             }
-          } else {
-            // Batched: group maximal runs of same-chain candidates so each
-            // run flows through one evaluate_batch call.
-            std::vector<PipelineBindingView> views;
-            std::vector<EvalOutcome> outs;
-            std::size_t j = begin;
-            while (j < end) {
-              const std::size_t run_begin = j;
-              const std::size_t c =
-                  cands[eval_order[from + j]].chain_index;
-              while (j < end && cands[eval_order[from + j]].chain_index == c) {
-                ++j;
-              }
-              const std::size_t m = j - run_begin;
-              views.clear();
-              views.reserve(m);
-              for (std::size_t k = 0; k < m; ++k) {
-                views.push_back(
-                    cands[eval_order[from + run_begin + k]].view());
-              }
-              outs.assign(m, EvalOutcome{});
-              plans[c]->evaluate_batch({views.data(), m}, outs.data(),
-                                       states[c]);
-              for (std::size_t k = 0; k < m; ++k) {
-                const std::size_t i = eval_order[from + run_begin + k];
-                if (outs[k].ok) {
-                  metrics[i] = {outs[k].cycles, outs[k].on_chip_pj};
-                  ok[i] = 1;
-                }
-              }
-              batches.fetch_add(1, std::memory_order_relaxed);
-              batched_candidates.fetch_add(m, std::memory_order_relaxed);
-              std::uint64_t cur = max_batch.load(std::memory_order_relaxed);
-              while (cur < m && !max_batch.compare_exchange_weak(
-                                    cur, m, std::memory_order_relaxed)) {
-              }
+            batches.fetch_add(1, std::memory_order_relaxed);
+            batched_candidates.fetch_add(m, std::memory_order_relaxed);
+            std::uint64_t cur = max_batch.load(std::memory_order_relaxed);
+            while (cur < m && !max_batch.compare_exchange_weak(
+                                  cur, m, std::memory_order_relaxed)) {
             }
           }
           for (const PipelineDeltaState& s : states) {

@@ -191,6 +191,13 @@ struct PipelinePhaseWork {
     const GnnWorkload& workload, std::size_t pes,
     const PipelineSearchOptions& options = {});
 
+/// The classic two-phase chain (sparse-dense Aggregation + dense
+/// Combination, in `order`) of `layer`: the chain lower_two_phase_candidate
+/// binds onto. search_mappings searches the AC chain as chain 0 and the CA
+/// chain as chain 1.
+[[nodiscard]] PipelineChainSpec two_phase_chain(PhaseOrder order,
+                                                const LayerSpec& layer);
+
 /// Lowers a legacy two-phase descriptor into a PipelineCandidate for
 /// `chain_index` (the PP PE split resolved against `num_pes`, matching the
 /// evaluator), keeping the descriptor in `legacy` so the two-phase adapter

@@ -22,7 +22,6 @@ const char* to_string(Objective o) {
 const char* to_string(EvalPath p) {
   switch (p) {
     case EvalPath::kBatched: return "batched";
-    case EvalPath::kDelta: return "delta";
     case EvalPath::kScalar: return "scalar";
   }
   return "?";
@@ -241,25 +240,14 @@ SearchResult search_mappings(const Omega& omega, const GnnWorkload& workload,
                              const WorkloadContext* shared_context) {
   const std::size_t pes = omega.config().num_pes;
 
-  // Chain projections of the two phase orders. The probe descriptor only
-  // fixes engines and widths — Seq with all-temporal unit tiles is valid for
-  // any workload, and only its chain projection survives.
-  DataflowDescriptor probe;
-  probe.inter = InterPhase::kSequential;
-  probe.phase_order = PhaseOrder::kAC;
-  probe.agg.phase = GnnPhase::kAggregation;
-  probe.agg.order = LoopOrder(Dim::kV, Dim::kN, Dim::kF);
-  probe.cmb.phase = GnnPhase::kCombination;
-  probe.cmb.order = LoopOrder(Dim::kV, Dim::kF, Dim::kG);
   std::vector<PipelineChainSpec> chains;
-  chains.push_back(PipelineChainSpec::of(two_phase_pipeline(probe, layer)));
+  chains.push_back(two_phase_chain(PhaseOrder::kAC, layer));
   bool has_ca_extra = false;
   for (const DataflowDescriptor& df : options.extra_candidates) {
     has_ca_extra |= df.phase_order == PhaseOrder::kCA;
   }
   if (options.include_ca || has_ca_extra) {
-    probe.phase_order = PhaseOrder::kCA;
-    chains.push_back(PipelineChainSpec::of(two_phase_pipeline(probe, layer)));
+    chains.push_back(two_phase_chain(PhaseOrder::kCA, layer));
   }
 
   PipelineSearchOptions popt;

@@ -24,14 +24,13 @@ enum class Objective : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Objective o);
 
-/// Which evaluation core the sweep drives. All three return bit-identical
+/// Which evaluation core the sweep drives. Both return bit-identical
 /// candidate metrics (and therefore identical ranked/Pareto output) across
-/// thread counts — the scalar path is kept alive as the differential oracle
-/// for the delta/batched cores (tests/eval_core_test.cpp).
+/// thread counts — the scalar path is kept alive as the differential
+/// oracle for the batched core (tests/eval_core_test.cpp).
 enum class EvalPath : std::uint8_t {
-  kBatched = 0,  // SoA batch evaluation over each parallel block (default)
-  kDelta = 1,    // per-candidate delta evaluation through the term cache
-  kScalar = 2,   // full Omega::run per candidate (the oracle)
+  kBatched = 0,  // PipelineEvalPlan::evaluate_batch per parallel block
+  kScalar = 1,   // full Omega::run_pipeline per candidate (the oracle)
 };
 
 [[nodiscard]] const char* to_string(EvalPath p);
@@ -43,7 +42,7 @@ enum class EvalPath : std::uint8_t {
 struct EvalStats {
   std::uint64_t term_requests = 0;  // phase-term lookups issued
   std::uint64_t term_builds = 0;    // lookups that ran a phase simulation
-  std::uint64_t delta_hits = 0;     // lookups served by a delta slot (L1)
+  std::uint64_t delta_hits = 0;     // lookups served by a per-block L1 slot
   std::uint64_t batches = 0;        // evaluate_batch calls
   std::uint64_t batched_candidates = 0;  // candidates routed through batches
   std::uint64_t max_batch = 0;      // largest single batch
@@ -76,8 +75,8 @@ struct SearchOptions {
   /// seed scores, so results are identical across thread counts.
   bool prune = false;
   std::size_t prune_seed = 64;
-  /// Evaluation core (see EvalPath). Batched/delta require no caller setup:
-  /// the plan is obtained from (and cached in) the sweep's WorkloadContext.
+  /// Evaluation core (see EvalPath). Batched requires no caller setup: the
+  /// plan is obtained from (and cached in) the sweep's WorkloadContext.
   EvalPath eval_path = EvalPath::kBatched;
   /// Fully bound descriptors appended to the candidate population and
   /// always evaluated: they bypass the max_candidates subsample and are

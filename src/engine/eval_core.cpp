@@ -31,8 +31,8 @@ std::uint64_t pack_chunk_kind(ChunkTarget target, const ChunkSpec& chunks) {
 
 /// Field->term dependency map, spmm side. Mirrors the spmm engine's string
 /// memo key field-for-field (everything that determines the PhaseResult
-/// besides the graph, which is plan-invariant); see DESIGN.md "Batched +
-/// delta evaluation".
+/// besides the graph, which the plan tags in w[19]); see DESIGN.md
+/// "Batched evaluation".
 EvalTermKey key_of(const SpmmPhaseConfig& cfg) {
   EvalTermKey k;
   k.w = {1ull,  // engine tag
@@ -115,56 +115,8 @@ std::size_t term_timeline_footprint(ChunkTarget target,
 
 }  // namespace
 
-// SoA batch scratch: parallel arrays, one row per candidate of the block.
-struct DeltaState::Scratch {
-  std::vector<EvalPlan::TermSpecs> specs;
-  std::vector<std::shared_ptr<const PhaseResult>> first;
-  std::vector<std::shared_ptr<const PhaseResult>> second;
-};
-
-std::shared_ptr<const EvalPlan> EvalPlan::obtain(const Omega& omega,
-                                                 const GnnWorkload& workload,
-                                                 const LayerSpec& layer,
-                                                 const WorkloadContext& context) {
-  OMEGA_CHECK(&context.graph() == &workload.adjacency,
-              "WorkloadContext is bound to a different graph");
-  const AcceleratorConfig& hw = omega.config();
-  const EnergyModel& em = omega.energy_model();
-  const std::size_t f =
-      layer.in_features > 0 ? layer.in_features : workload.in_features;
-
-  // Everything the plan depends on besides the graph (which is the
-  // context's own): substrate dims/flags, energy coefficients (hex floats —
-  // exact round trip), and the resolved layer shape.
-  char sig[512];
-  std::snprintf(sig, sizeof(sig),
-                "plan|%zu|%zu|%zu|%zu|%zu|%zu|%zu|%zu|%d|%d|%a|%a|%a|%zu|%zu|%zu",
-                hw.num_pes, hw.rf_bytes_per_pe, hw.gb_bytes, hw.gb_bank_bytes,
-                hw.distribution_bandwidth, hw.reduction_bandwidth,
-                hw.dram_bandwidth, hw.element_bytes,
-                hw.supports_spatial_reduction ? 1 : 0,
-                hw.supports_temporal_reduction ? 1 : 0, em.gb_access_pj,
-                em.rf_access_pj, em.dram_access_pj, em.reference_bank_bytes, f,
-                layer.out_features);
-
-  std::shared_ptr<EvalPlanBase> base =
-      context.eval_plan(sig, [&]() -> std::shared_ptr<EvalPlanBase> {
-        auto plan = std::shared_ptr<EvalPlan>(new EvalPlan());
-        plan->graph_ = &workload.adjacency;
-        plan->context_ = &context;
-        plan->hw_ = hw;
-        plan->em_ = em;
-        plan->v_ = workload.num_vertices();
-        plan->f_ = f;
-        plan->g_ = layer.out_features;
-        plan->dims_ok_ = plan->v_ >= 1 && f >= 1 && layer.out_features >= 1;
-        return plan;
-      });
-  return std::static_pointer_cast<const EvalPlan>(base);
-}
-
 std::shared_ptr<const PhaseResult> TermStore::resolve(
-    const EvalTermKey& key, DeltaState::Slot& slot,
+    const EvalTermKey& key, Slot& slot,
     const std::function<std::shared_ptr<const PhaseResult>()>& build,
     std::size_t timeline_bytes, std::uint64_t& delta_hits) const {
   requests_.fetch_add(1, std::memory_order_relaxed);
@@ -231,300 +183,6 @@ std::size_t TermStore::timeline_bytes() const {
   return timeline_bytes_;
 }
 
-bool EvalPlan::derive(const DataflowDescriptor& df, TermSpecs* ts) const {
-  // Precheck: exactly the throws Omega::run_impl performs before the
-  // engines run (descriptor validity, substrate capability, PP sanity,
-  // positive dims). Any failure means the scalar oracle throws -> ok=false.
-  ts->feasible = false;
-  if (!dims_ok_) return false;
-  if (df.validation_error().has_value()) return false;
-  const HardwareRequirements req = hardware_requirements(df);
-  if (req.needs_spatial_reduction && !hw_.supports_spatial_reduction) {
-    return false;
-  }
-  if (req.needs_temporal_reduction && !hw_.supports_temporal_reduction) {
-    return false;
-  }
-  const bool pp = df.inter == InterPhase::kParallelPipeline;
-  if (pp) {
-    if (!(df.pp_agg_pe_fraction > 0.0 && df.pp_agg_pe_fraction < 1.0)) {
-      return false;
-    }
-    if (hw_.num_pes < 2) return false;
-  }
-  const bool ac = df.phase_order == PhaseOrder::kAC;
-
-  // PE / bandwidth split. Replicates two_phase_pipeline's llround-then-
-  // clamp on the Aggregation share, then run_pipeline_impl's re-derivation
-  // through pe_fractions, double-for-double — the round trip must stay
-  // bit-exact or a PP candidate drifts by one PE against the oracle.
-  std::size_t pes0 = hw_.num_pes;
-  std::size_t pes1 = hw_.num_pes;
-  std::size_t bwd0 = hw_.distribution_bandwidth;
-  std::size_t bwd1 = hw_.distribution_bandwidth;
-  std::size_t bwr0 = hw_.reduction_bandwidth;
-  std::size_t bwr1 = hw_.reduction_bandwidth;
-  if (pp) {
-    const std::size_t pes_agg = std::clamp<std::size_t>(
-        static_cast<std::size_t>(
-            std::llround(static_cast<double>(hw_.num_pes) *
-                         df.pp_agg_pe_fraction)),
-        1, hw_.num_pes - 1);
-    const std::size_t first_pes = ac ? pes_agg : hw_.num_pes - pes_agg;
-    const double first_frac =
-        static_cast<double>(first_pes) / static_cast<double>(hw_.num_pes);
-    const double second_frac = 1.0 - first_frac;
-    const double share = first_frac / (first_frac + second_frac);
-    if (!(share > 0.0 && share < 1.0)) return false;
-    pes0 = std::clamp<std::size_t>(
-        static_cast<std::size_t>(
-            std::llround(static_cast<double>(hw_.num_pes) * share)),
-        1, hw_.num_pes - 1);
-    pes1 = hw_.num_pes - pes0;
-    bwd0 = scaled_bandwidth(hw_.distribution_bandwidth, pes0, hw_.num_pes);
-    bwd1 = scaled_bandwidth(hw_.distribution_bandwidth, pes1, hw_.num_pes);
-    bwr0 = scaled_bandwidth(hw_.reduction_bandwidth, pes0, hw_.num_pes);
-    bwr1 = scaled_bandwidth(hw_.reduction_bandwidth, pes1, hw_.num_pes);
-  }
-
-  // Feature widths along the two-phase chain: the sparse-dense phase
-  // preserves its input width, the dense phase emits G.
-  const std::size_t in0 = f_;
-  const std::size_t out0 = ac ? f_ : g_;
-  const std::size_t in1 = out0;
-
-  // Boundary plan (Table III): the intermediate is V x out0.
-  const std::size_t rows = v_;
-  const std::size_t cols = out0;
-  Granularity gran = Granularity::kNone;
-  ChunkSpec grid = ChunkSpec::whole(rows, cols);
-  std::size_t pel = 0;
-  if (df.inter != InterPhase::kSequential &&
-      df.inter != InterPhase::kSPOptimized) {
-    const HandoffRole prod_role =
-        ac ? HandoffRole{df.agg.order, Dim::kV, Dim::kF, Dim::kN}
-           : HandoffRole{df.cmb.order, Dim::kV, Dim::kG, Dim::kF};
-    const HandoffRole cons_role =
-        ac ? HandoffRole{df.cmb.order, Dim::kV, Dim::kF, Dim::kG}
-           : HandoffRole{df.agg.order, Dim::kN, Dim::kF, Dim::kV};
-    const PipelineAnalysis analysis = analyze_handoff(prod_role, cons_role);
-    if (!analysis.feasible) return false;  // oracle: OMEGA_CHECK throw
-    gran = analysis.granularity;
-    grid.major = analysis.major;
-    const TileSizes& prod_tiles = ac ? df.agg.tiles : df.cmb.tiles;
-    const TileSizes& cons_tiles = ac ? df.cmb.tiles : df.agg.tiles;
-    const std::size_t t_row =
-        std::min(std::max(prod_tiles.get(prod_role.row),
-                          cons_tiles.get(cons_role.row)),
-                 rows);
-    const std::size_t t_col =
-        std::min(std::max(prod_tiles.get(prod_role.col),
-                          cons_tiles.get(cons_role.col)),
-                 cols);
-    switch (gran) {
-      case Granularity::kElement:
-        grid.row_block = t_row;
-        grid.col_block = t_col;
-        pel = t_row * t_col;
-        break;
-      case Granularity::kRow:
-        grid.row_block = t_row;
-        pel = t_row * cols;
-        break;
-      case Granularity::kColumn:
-        grid.col_block = t_col;
-        pel = rows * t_col;
-        break;
-      case Granularity::kNone:
-        break;
-    }
-  }
-  std::size_t buffer_elements = 0;
-  switch (df.inter) {
-    case InterPhase::kSequential: buffer_elements = rows * cols; break;
-    case InterPhase::kSPGeneric: buffer_elements = pel; break;
-    case InterPhase::kSPOptimized: buffer_elements = 0; break;
-    case InterPhase::kParallelPipeline: buffer_elements = 2 * pel; break;
-  }
-  const std::uint64_t int_bytes =
-      sat_mul_u64(sat_mul_u64(rows, cols), hw_.element_bytes);
-  const bool spilled =
-      df.inter == InterPhase::kSequential && int_bytes > hw_.gb_bytes;
-  const bool chunked = chunked_inter(df.inter);
-  const bool spo = df.inter == InterPhase::kSPOptimized;
-
-  // Engine configs — phase 0 produces the intermediate, phase 1 consumes
-  // it; the boundary-derived flag sets mirror run_pipeline_impl exactly.
-  SpmmPhaseConfig& sp = ts->spmm;
-  sp = SpmmPhaseConfig{};
-  sp.graph = graph_;
-  sp.context = context_;
-  sp.order = df.agg.order;
-  sp.tiles = df.agg.tiles;
-  sp.rf_elements = hw_.rf_elements_per_pe();
-  GemmPhaseConfig& ge = ts->gemm;
-  ge = GemmPhaseConfig{};
-  ge.context = context_;
-  ge.rows = v_;
-  ge.order = df.cmb.order;
-  ge.tiles = df.cmb.tiles;
-  ge.rf_elements = hw_.rf_elements_per_pe();
-
-  if (ac) {
-    sp.feat = in0;
-    sp.pes = pes0;
-    sp.bw_dist = bwd0;
-    sp.bw_red = bwr0;
-    sp.b_category = TrafficCategory::kInput;
-    sp.out_category = TrafficCategory::kIntermediate;
-    sp.out_to_rf = spo;
-    sp.out_in_dram = spilled;
-    sp.out_drain_bw = spilled ? hw_.dram_bandwidth : 0;
-    sp.out_via_partition = pp;
-    if (chunked) {
-      sp.chunks = grid;
-      sp.chunk_target = ChunkTarget::kMatrixOut;
-    }
-    ge.inner = in1;
-    ge.cols = g_;
-    ge.pes = pes1;
-    ge.bw_dist = bwd1;
-    ge.bw_red = bwr1;
-    ge.a_category = TrafficCategory::kIntermediate;
-    ge.out_category = TrafficCategory::kOutput;
-    ge.a_from_rf = spo;
-    ge.a_in_dram = spilled;
-    ge.a_stream_bw = spilled ? hw_.dram_bandwidth : 0;
-    ge.a_via_partition = pp;
-    if (chunked) {
-      ge.chunks = grid;
-      ge.chunk_target = ChunkTarget::kMatrixA;
-    }
-  } else {
-    ge.inner = in0;
-    ge.cols = out0;
-    ge.pes = pes0;
-    ge.bw_dist = bwd0;
-    ge.bw_red = bwr0;
-    ge.a_category = TrafficCategory::kInput;
-    ge.out_category = TrafficCategory::kIntermediate;
-    ge.out_to_rf = spo;
-    ge.out_in_dram = spilled;
-    ge.out_drain_bw = spilled ? hw_.dram_bandwidth : 0;
-    ge.out_via_partition = pp;
-    if (chunked) {
-      ge.chunks = grid;
-      ge.chunk_target = ChunkTarget::kMatrixOut;
-    }
-    sp.feat = in1;
-    sp.pes = pes1;
-    sp.bw_dist = bwd1;
-    sp.bw_red = bwr1;
-    sp.b_category = TrafficCategory::kIntermediate;
-    sp.out_category = TrafficCategory::kOutput;
-    sp.b_from_rf = spo;
-    sp.b_in_dram = spilled;
-    sp.b_stream_bw = spilled ? hw_.dram_bandwidth : 0;
-    sp.b_via_partition = pp;
-    if (chunked) {
-      sp.chunks = grid;
-      sp.chunk_target = ChunkTarget::kMatrixA;
-    }
-  }
-
-  ts->feasible = true;
-  ts->pp = pp;
-  ts->spmm_first = ac;
-  ts->partition_bytes = pp ? buffer_elements * hw_.element_bytes : 0;
-  return true;
-}
-
-std::shared_ptr<const PhaseResult> EvalPlan::resolve_spmm(
-    const SpmmPhaseConfig& cfg, DeltaState& state) const {
-  return store_.resolve(
-      key_of(cfg), state.slots[0], [&] { return run_spmm_phase_shared(cfg); },
-      term_timeline_footprint(cfg.chunk_target, cfg.chunks), state.delta_hits);
-}
-
-std::shared_ptr<const PhaseResult> EvalPlan::resolve_gemm(
-    const GemmPhaseConfig& cfg, DeltaState& state) const {
-  return store_.resolve(
-      key_of(cfg), state.slots[1], [&] { return run_gemm_phase_shared(cfg); },
-      term_timeline_footprint(cfg.chunk_target, cfg.chunks), state.delta_hits);
-}
-
-EvalOutcome EvalPlan::compose(const TermSpecs& ts, const PhaseResult& first,
-                              const PhaseResult& second,
-                              const EnergyModel& em) {
-  EvalOutcome out;
-  out.cycles =
-      ts.pp ? compose_parallel_pipeline(first.chunk_completion,
-                                        second.chunk_cycles)
-            : sat_add_u64(first.cycles, second.cycles);
-  TrafficCounters traffic = first.traffic;
-  traffic += second.traffic;
-  const EnergyBreakdown e = compute_energy(traffic, em, ts.partition_bytes);
-  out.on_chip_pj = e.on_chip_pj();
-  out.ok = true;
-  return out;
-}
-
-EvalOutcome EvalPlan::evaluate_one(const DataflowDescriptor& df,
-                                   DeltaState& state) const {
-  TermSpecs ts;
-  if (!derive(df, &ts)) return EvalOutcome{};
-  // Execution order matters twice: the PP composition consumes (producer,
-  // consumer) in order, and the first phase's terms must resolve first so
-  // an infeasible first phase skips the second — the same build set the
-  // scalar oracle touches before throwing.
-  const std::shared_ptr<const PhaseResult> first =
-      ts.spmm_first ? resolve_spmm(ts.spmm, state)
-                    : resolve_gemm(ts.gemm, state);
-  if (first == nullptr) return EvalOutcome{};
-  const std::shared_ptr<const PhaseResult> second =
-      ts.spmm_first ? resolve_gemm(ts.gemm, state)
-                    : resolve_spmm(ts.spmm, state);
-  if (second == nullptr) return EvalOutcome{};
-  return compose(ts, *first, *second, em_);
-}
-
-void EvalPlan::evaluate_batch(std::span<const DataflowDescriptor* const> dfs,
-                              EvalOutcome* out, DeltaState& state) const {
-  const std::size_t n = dfs.size();
-  if (state.scratch == nullptr) {
-    state.scratch = std::make_shared<DeltaState::Scratch>();
-  }
-  DeltaState::Scratch& s = *state.scratch;
-  s.specs.resize(n);
-  s.first.assign(n, nullptr);
-  s.second.assign(n, nullptr);
-
-  // Pass 1 (derive, SoA): precheck + PE split + boundary plan + both engine
-  // configs per candidate, no simulation.
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = EvalOutcome{};
-    (void)derive(*dfs[i], &s.specs[i]);
-  }
-  // Pass 2 (resolve): term lookups over the block. Consecutive candidates
-  // that share a phase hit the delta slots without hashing; the two terms
-  // of one candidate resolve back-to-back so the first phase's
-  // infeasibility still skips the second.
-  for (std::size_t i = 0; i < n; ++i) {
-    const TermSpecs& ts = s.specs[i];
-    if (!ts.feasible) continue;
-    s.first[i] = ts.spmm_first ? resolve_spmm(ts.spmm, state)
-                               : resolve_gemm(ts.gemm, state);
-    if (s.first[i] == nullptr) continue;
-    s.second[i] = ts.spmm_first ? resolve_gemm(ts.gemm, state)
-                                : resolve_spmm(ts.spmm, state);
-  }
-  // Pass 3 (compose): tight loop over the resolved arrays.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (s.first[i] == nullptr || s.second[i] == nullptr) continue;
-    out[i] = compose(s.specs[i], *s.first[i], *s.second[i], em_);
-  }
-}
-
 // SoA batch scratch for N-phase evaluation: flat row-major arrays, one row
 // of phase_count() entries per candidate of the block.
 struct PipelineDeltaState::Scratch {
@@ -564,8 +222,8 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
     sig += pb;
   }
 
-  std::shared_ptr<EvalPlanBase> base =
-      context.eval_plan(sig, [&]() -> std::shared_ptr<EvalPlanBase> {
+  return context.eval_plan(
+      sig, [&]() -> std::shared_ptr<const PipelineEvalPlan> {
         auto plan = std::shared_ptr<PipelineEvalPlan>(new PipelineEvalPlan());
         plan->graph_ = &workload.adjacency;
         plan->context_ = &context;
@@ -599,7 +257,6 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
         }
         return plan;
       });
-  return std::static_pointer_cast<const PipelineEvalPlan>(base);
 }
 
 bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
@@ -952,29 +609,11 @@ EvalOutcome PipelineEvalPlan::compose(
 
 void PipelineEvalPlan::ensure_state(PipelineDeltaState& state) const {
   if (state.slots.size() != statics_.size()) {
-    state.slots.assign(statics_.size(), DeltaState::Slot{});
+    state.slots.assign(statics_.size(), TermStore::Slot{});
   }
   if (state.scratch == nullptr) {
     state.scratch = std::make_shared<PipelineDeltaState::Scratch>();
   }
-}
-
-EvalOutcome PipelineEvalPlan::evaluate_one(const PipelineBindingView& binding,
-                                           PipelineDeltaState& state) const {
-  const std::size_t n = statics_.size();
-  ensure_state(state);
-  PipelineDeltaState::Scratch& s = *state.scratch;
-  s.terms.resize(std::max<std::size_t>(n, 1));
-  s.results.assign(std::max<std::size_t>(n, 1), nullptr);
-  s.meta.resize(1);
-  if (!derive(binding, s.terms.data(), &s.meta[0])) return EvalOutcome{};
-  // Terms resolve in execution order so an infeasible phase skips the later
-  // builds — the same build set run_pipeline touches before throwing.
-  for (std::size_t i = 0; i < n; ++i) {
-    s.results[i] = resolve_phase(s.terms[i], i, state);
-    if (s.results[i] == nullptr) return EvalOutcome{};
-  }
-  return compose(binding, s.results.data(), s.meta[0].partition_bytes);
 }
 
 void PipelineEvalPlan::evaluate_batch(

@@ -1,47 +1,50 @@
-// Delta + batched candidate evaluation: the DSE hot path.
+// Batched candidate evaluation: the DSE hot path.
 //
-// A sweep's candidates differ from their neighbors in one or two descriptor
-// fields, and the full Omega::run pipeline re-derives everything per
-// candidate: PE/bandwidth split, feature widths, the boundary plan, two
-// engine configs, two phase simulations (memoized by string key — built,
-// hashed and compared per candidate), the PP composition, the traffic sum
-// and the energy model. An EvalPlan factors one candidate evaluation into
-// exactly two *phase terms* — the memoizable units — plus O(1) composition:
+// Every search (search_mappings lowers its two-phase descriptors onto the
+// AC/CA chains, search_pipeline_mappings and search_model_mappings run
+// chains directly) evaluates candidates through one PipelineEvalPlan per
+// chain. A sweep's candidates differ from their neighbors in one or two
+// binding fields, and the full Omega::run_pipeline path re-derives
+// everything per candidate: the PE/bandwidth split, feature widths, the
+// boundary plans, N engine configs, N phase simulations (memoized by string
+// key — built, hashed and compared per candidate), the PP compositions, the
+// traffic sum and the energy model. A plan factors one candidate
+// evaluation into N *phase terms* — one per chain position, the memoizable
+// units — plus (N-1) boundary compositions:
 //
-//   cycles  = compose(term_first, term_second)   (PP overlap or sat-add)
-//   traffic = term_first.traffic + term_second.traffic
-//   energy  = compute_energy(traffic, em, partition_bytes(boundary))
+//   cycles  = sum over segments (PP pairs overlap chunk-by-chunk, the rest
+//             sat-add)
+//   traffic = sum of the terms' traffic
+//   energy  = compute_energy(traffic, em, max PP partition bytes)
 //
-// Each term is keyed by the descriptor fields it actually depends on (its
+// Each term is keyed by the binding fields it actually depends on (its
 // engine config: tile dims, loop order, the InterPhase-derived flag set,
 // the PE/bandwidth split, widths, chunk grid — see key_of in eval_core.cpp
 // for the exact field->term dependency map) and cached in a POD-keyed hash
 // map on the plan, so a single-field mutation invalidates at most the terms
 // whose key embeds that field. The plan itself is cached in the
-// WorkloadContext keyed by everything outside the descriptor (substrate +
-// energy model + layer shape), so repeated searches over one workload reuse
-// all terms across calls.
+// WorkloadContext keyed by everything outside the binding (substrate +
+// energy model + chain), so repeated searches over one workload reuse all
+// terms across calls.
 //
 // Two access tiers sit above the shared map:
-//  * DeltaState — a per-evaluation-block L1: the last term per engine slot.
-//    Neighboring candidates that leave one phase untouched (the common case
-//    in tiling sweeps: the agg x cmb cross product mutates one side at a
-//    time) hit the slot without touching the map or hashing the key.
+//  * PipelineDeltaState — a per-evaluation-block L1: the last term per
+//    chain position. Neighboring candidates that leave one phase untouched
+//    (the common case in tiling sweeps: the per-phase tiling cross product
+//    mutates one side at a time) hit the slot without touching the map or
+//    hashing the key.
 //  * evaluate_batch — struct-of-arrays evaluation of a candidate block:
 //    pass 1 derives every candidate's term specs into parallel arrays,
-//    pass 2 resolves terms (delta slot -> shared map -> simulate), pass 3
+//    pass 2 resolves terms (L1 slot -> shared map -> simulate), pass 3
 //    composes cycles/energy in a tight loop over the resolved arrays.
 //
-// Parity contract: for every descriptor, evaluate_one/evaluate_batch return
-// bit-identical (cycles, on_chip_pj) to Omega::run with the same context,
-// and `ok == false` exactly when Omega::run throws Error. The scalar path
-// stays alive behind SearchOptions::eval_path as the differential oracle;
-// tests/eval_core_test.cpp fuzzes single-field mutations against it.
-//
-// PipelineEvalPlan (below) generalizes the same factoring to N-phase chains
-// for the pipeline-space DSE: one term per chain position, (N-1) boundary
-// compositions, the same TermStore/delta-slot machinery, and the same
-// parity contract against Omega::run_pipeline.
+// Parity contract: for every binding, evaluate_batch returns bit-identical
+// (cycles, on_chip_pj) to Omega::run_pipeline on the bound spec with the
+// same context, and `ok == false` exactly when run_pipeline throws Error;
+// for a lowered two-phase descriptor the same holds against Omega::run.
+// The scalar path stays alive behind SearchOptions::eval_path as the
+// differential oracle; tests/eval_core_test.cpp fuzzes single-field
+// mutations of two-phase descriptors and of 3-phase bindings against it.
 #pragma once
 
 #include <array>
@@ -64,8 +67,8 @@
 namespace omega {
 
 /// One candidate's evaluation result, reduced to what the search ranks on.
-/// `ok == false` mirrors Omega::run throwing (infeasible candidate); the
-/// other fields are zero then.
+/// `ok == false` mirrors the scalar oracle throwing (infeasible candidate);
+/// the other fields are zero then.
 struct EvalOutcome {
   std::uint64_t cycles = 0;
   double on_chip_pj = 0.0;
@@ -80,7 +83,7 @@ struct EvalTermKey {
   [[nodiscard]] bool operator==(const EvalTermKey&) const = default;
 };
 
-/// Byte budget for *chunked* phase-term timelines held by one EvalPlan.
+/// Byte budget for *chunked* phase-term timelines held by one plan.
 /// The legacy engine memo refuses chunk grids past kPhaseMemoMaxChunks on
 /// the assumption that giant timelines are near-unique; sweep profiles show
 /// the opposite — candidates that differ only in fields outside a phase's
@@ -88,7 +91,7 @@ struct EvalTermKey {
 /// path. The plan therefore admits big-chunk terms until their estimated
 /// timeline footprint (two u64 vectors per term) reaches this budget; past
 /// it, new big terms fall back to uncached builds (results identical, the
-/// DeltaState slot is then their only cache).
+/// per-block L1 slot is then their only cache).
 inline constexpr std::size_t kTermTimelineBudgetBytes = 512ull << 20;
 
 struct EvalTermKeyHash {
@@ -104,40 +107,28 @@ struct EvalTermKeyHash {
   }
 };
 
-/// Per-evaluation-block working state: the last resolved term per engine
-/// slot (0 = spmm, 1 = gemm) plus reusable batch scratch. One DeltaState
-/// per parallel block — never shared across threads. A null `term` with
-/// `valid == true` caches "this term's phase config is infeasible".
-struct DeltaState {
+/// The shared term memo behind an evaluation plan: a POD-keyed map of
+/// once-built phase results, the chunked-timeline byte budget, and the
+/// request/build counters. Thread-safe; one store per plan.
+class TermStore {
+ public:
+  /// A caller-owned L1 entry: the last term resolved at one term position.
+  /// A null `term` with `valid == true` caches "this term's phase config is
+  /// infeasible".
   struct Slot {
     EvalTermKey key;
     std::shared_ptr<const PhaseResult> term;
     bool valid = false;
   };
-  std::array<Slot, 2> slots;
-  std::uint64_t delta_hits = 0;  // term requests served by a slot
 
-  // evaluate_batch scratch (SoA arrays), reused across batches to keep the
-  // hot loop allocation-free after the first call.
-  struct Scratch;
-  std::shared_ptr<Scratch> scratch;
-};
-
-/// The shared term memo behind an evaluation plan: a POD-keyed map of
-/// once-built phase results, the chunked-timeline byte budget, and the
-/// request/build counters. Thread-safe; one store per plan, shared between
-/// the two-phase EvalPlan and the N-phase PipelineEvalPlan so the admission
-/// policy and counter semantics cannot drift between them.
-class TermStore {
- public:
-  /// Resolves a term through (delta slot -> map -> build). `timeline_bytes
+  /// Resolves a term through (L1 slot -> map -> build). `timeline_bytes
   /// == 0` marks a small-grid term (always admitted, like the legacy
   /// engine memo); nonzero is the estimated footprint of a chunked term's
   /// timelines, admitted against kTermTimelineBudgetBytes. `slot` is the
   /// caller's per-block L1 for this term position; `delta_hits` counts the
   /// requests it served.
   [[nodiscard]] std::shared_ptr<const PhaseResult> resolve(
-      const EvalTermKey& key, DeltaState::Slot& slot,
+      const EvalTermKey& key, Slot& slot,
       const std::function<std::shared_ptr<const PhaseResult>()>& build,
       std::size_t timeline_bytes, std::uint64_t& delta_hits) const;
 
@@ -170,115 +161,31 @@ class TermStore {
   mutable std::atomic<std::uint64_t> builds_{0};
 };
 
-/// A per-(workload, substrate, layer) evaluation plan. Obtain through
-/// EvalPlan::obtain (cached in the WorkloadContext); all methods are const
-/// and thread-safe. Counter semantics: term_requests/term_builds/term_count
-/// are deterministic for a given evaluated-candidate set (builds happen
-/// once per distinct key); delta-hit counts live on the caller's DeltaState
-/// because block layout is thread-count-dependent.
-class EvalPlan final : public EvalPlanBase {
- public:
-  /// The context-cached plan for (omega's substrate + energy model,
-  /// workload, layer). `context` must be bound to `workload.adjacency`.
-  [[nodiscard]] static std::shared_ptr<const EvalPlan> obtain(
-      const Omega& omega, const GnnWorkload& workload, const LayerSpec& layer,
-      const WorkloadContext& context);
-
-  /// Evaluates one candidate through the term cache. Bit-identical to
-  /// Omega::run (see the parity contract above).
-  [[nodiscard]] EvalOutcome evaluate_one(const DataflowDescriptor& df,
-                                         DeltaState& state) const;
-
-  /// Struct-of-arrays evaluation of a candidate block: writes one
-  /// EvalOutcome per input descriptor pointer. Outcomes are identical to
-  /// calling evaluate_one per candidate in order (the batch only
-  /// restructures the passes).
-  void evaluate_batch(std::span<const DataflowDescriptor* const> dfs,
-                      EvalOutcome* out, DeltaState& state) const;
-
-  // EvalPlanBase observability.
-  [[nodiscard]] std::size_t term_count() const override {
-    return store_.size();
-  }
-  [[nodiscard]] std::uint64_t term_requests() const override {
-    return store_.requests();
-  }
-  [[nodiscard]] std::uint64_t term_builds() const override {
-    return store_.builds();
-  }
-
-  /// Estimated bytes of chunked-term timelines admitted against
-  /// kTermTimelineBudgetBytes (small-grid terms are not counted).
-  [[nodiscard]] std::size_t term_timeline_bytes() const override {
-    return store_.timeline_bytes();
-  }
-
- private:
-  friend struct DeltaState::Scratch;  // batch scratch holds TermSpecs arrays
-  EvalPlan() = default;
-
-  /// Fully derived engine configs for one candidate (the term specs) plus
-  /// the O(1) composition inputs. `feasible == false` short-circuits the
-  /// term passes (precheck failed — exactly the throws Omega::run performs
-  /// before reaching the engines).
-  struct TermSpecs {
-    SpmmPhaseConfig spmm;
-    GemmPhaseConfig gemm;
-    bool feasible = false;
-    bool pp = false;          // compose by chunk overlap instead of sat-add
-    bool spmm_first = false;  // execution order of the two terms
-    std::size_t partition_bytes = 0;
-  };
-
-  [[nodiscard]] bool derive(const DataflowDescriptor& df, TermSpecs* ts) const;
-  [[nodiscard]] std::shared_ptr<const PhaseResult> resolve_spmm(
-      const SpmmPhaseConfig& cfg, DeltaState& state) const;
-  [[nodiscard]] std::shared_ptr<const PhaseResult> resolve_gemm(
-      const GemmPhaseConfig& cfg, DeltaState& state) const;
-  [[nodiscard]] static EvalOutcome compose(
-      const TermSpecs& ts, const PhaseResult& first,
-      const PhaseResult& second, const EnergyModel& em);
-
-  // Workload / substrate bindings (all layer- and descriptor-invariant).
-  const CSRGraph* graph_ = nullptr;
-  const WorkloadContext* context_ = nullptr;
-  AcceleratorConfig hw_;
-  EnergyModel em_;
-  std::size_t v_ = 0;
-  std::size_t f_ = 0;  // resolved input width
-  std::size_t g_ = 0;  // output width
-  bool dims_ok_ = false;
-
-  TermStore store_;
-};
-
-/// Per-evaluation-block working state for N-phase pipeline evaluation: one
-/// delta slot per phase POSITION (consecutive candidates that leave phase i
-/// untouched hit slot i without hashing its key) plus reusable batch
-/// scratch. One state per parallel block — never shared across threads.
+/// Per-evaluation-block working state: one L1 slot per phase POSITION
+/// (consecutive candidates that leave phase i untouched hit slot i without
+/// hashing its key) plus reusable batch scratch. One state per parallel
+/// block — never shared across threads.
 struct PipelineDeltaState {
-  std::vector<DeltaState::Slot> slots;  // sized to the plan's phase count
-  std::uint64_t delta_hits = 0;         // term requests served by a slot
+  std::vector<TermStore::Slot> slots;  // sized to the plan's phase count
+  std::uint64_t delta_hits = 0;        // term requests served by a slot
 
   struct Scratch;
   std::shared_ptr<Scratch> scratch;
 };
 
-/// The N-phase generalization of EvalPlan: one candidate evaluation factors
-/// into N phase terms — one per chain position — plus (N-1) boundary
-/// compositions (PP pairs overlap chunk-by-chunk, everything else
-/// sat-adds), all resolved through the same TermStore machinery. The plan
-/// is keyed by the *chain* (engines, widths, densities — everything a
-/// pipeline sweep holds fixed) so per-candidate work reduces to deriving
-/// engine configs from the binding (dataflows, boundaries, PE fractions)
-/// and resolving cached terms; sparse-weight W^T CSRs are built once per
-/// chain phase here instead of once per candidate as in run_pipeline.
-///
-/// Parity contract (the pipeline sibling of EvalPlan's): for every binding,
-/// evaluate_one/evaluate_batch return bit-identical (cycles, on_chip_pj) to
-/// Omega::run_pipeline on the bound spec with the same context, and
-/// `ok == false` exactly when run_pipeline throws Error.
-class PipelineEvalPlan final : public EvalPlanBase {
+/// A per-(workload, substrate, chain) evaluation plan. The plan is keyed by
+/// the *chain* (engines, widths, densities — everything a sweep holds
+/// fixed) so per-candidate work reduces to deriving engine configs from the
+/// binding (dataflows, boundaries, PE fractions) and resolving cached
+/// terms; sparse-weight W^T CSRs are built once per chain phase here
+/// instead of once per candidate as in run_pipeline. All methods are const
+/// and thread-safe. Counter semantics: term_requests/term_builds/term_count
+/// are deterministic for a given evaluated-candidate set (builds happen
+/// once per distinct key); L1 hit counts live on the caller's state because
+/// block layout is thread-count-dependent. The counters feed the service
+/// `stats` response (WorkloadContext::eval_stats) and the search
+/// observability.
+class PipelineEvalPlan {
  public:
   /// The context-cached plan for (omega's substrate + energy model,
   /// workload, chain). `context` must be bound to `workload.adjacency`. A
@@ -289,29 +196,27 @@ class PipelineEvalPlan final : public EvalPlanBase {
       const Omega& omega, const GnnWorkload& workload,
       const PipelineChainSpec& chain, const WorkloadContext& context);
 
-  /// Evaluates one candidate binding through the term cache.
-  [[nodiscard]] EvalOutcome evaluate_one(const PipelineBindingView& binding,
-                                         PipelineDeltaState& state) const;
-
   /// Struct-of-arrays evaluation of a binding block: writes one EvalOutcome
-  /// per input binding. Outcomes are identical to calling evaluate_one per
-  /// binding in order (the batch only restructures the passes).
+  /// per input binding. Outcomes do not depend on the block boundaries or
+  /// on what `state` saw before (see the parity contract above).
   void evaluate_batch(std::span<const PipelineBindingView> bindings,
                       EvalOutcome* out, PipelineDeltaState& state) const;
 
   [[nodiscard]] std::size_t phase_count() const { return statics_.size(); }
 
-  // EvalPlanBase observability.
-  [[nodiscard]] std::size_t term_count() const override {
-    return store_.size();
-  }
-  [[nodiscard]] std::uint64_t term_requests() const override {
+  /// Distinct phase terms resident in the plan's term memo.
+  [[nodiscard]] std::size_t term_count() const { return store_.size(); }
+  /// Term lookups served (one per resolved phase of a feasible candidate).
+  [[nodiscard]] std::uint64_t term_requests() const {
     return store_.requests();
   }
-  [[nodiscard]] std::uint64_t term_builds() const override {
-    return store_.builds();
-  }
-  [[nodiscard]] std::size_t term_timeline_bytes() const override {
+  /// Term lookups that had to run a phase simulation (memo misses).
+  [[nodiscard]] std::uint64_t term_builds() const { return store_.builds(); }
+  /// Estimated bytes of chunked-term timelines resident in the term store.
+  /// NOT deterministic near the admission budget (which candidate's
+  /// timeline wins admission at saturation depends on thread schedule), so
+  /// this feeds metrics/CLI output only — never goldened responses.
+  [[nodiscard]] std::size_t term_timeline_bytes() const {
     return store_.timeline_bytes();
   }
 

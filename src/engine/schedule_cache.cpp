@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "engine/eval_core.hpp"    // PipelineEvalPlan counters
 #include "engine/gemm_engine.hpp"  // ceil_div
 #include "util/error.hpp"
 #include "util/once.hpp"
@@ -117,9 +118,10 @@ std::size_t WorkloadContext::phase_memo_overflow() const {
   return phase_memo_overflow_;
 }
 
-std::shared_ptr<EvalPlanBase> WorkloadContext::eval_plan(
+std::shared_ptr<const PipelineEvalPlan> WorkloadContext::eval_plan(
     const std::string& signature,
-    const std::function<std::shared_ptr<EvalPlanBase>()>& build) const {
+    const std::function<std::shared_ptr<const PipelineEvalPlan>()>& build)
+    const {
   std::shared_ptr<PlanEntry> entry;
   {
     const std::scoped_lock lock(mutex_);
@@ -139,7 +141,7 @@ std::size_t WorkloadContext::eval_plan_count() const {
 ContextEvalStats WorkloadContext::eval_stats() const {
   // Snapshot the plan pointers under the lock, then read their counters
   // outside it (the counters are atomics on the plans themselves).
-  std::vector<std::shared_ptr<EvalPlanBase>> plans;
+  std::vector<std::shared_ptr<const PipelineEvalPlan>> plans;
   {
     const std::scoped_lock lock(mutex_);
     plans.reserve(eval_plans_.size());

@@ -75,32 +75,13 @@ struct LaneSchedule {
                                                std::size_t lanes,
                                                std::size_t lane_width);
 
-/// Interface the context uses to hold delta-evaluation plans without
-/// depending on the DSE layer (engine/eval_core.hpp implements it; the
-/// concrete EvalPlan factors a candidate evaluation into phase terms and
-/// memoizes them). The counters feed the service `stats` response and the
-/// search observability — every one of them is deterministic for a given
-/// request sequence (term builds happen once per distinct key, and the set
-/// of evaluated candidates is thread-count-invariant).
-class EvalPlanBase {
- public:
-  virtual ~EvalPlanBase() = default;
-  /// Distinct phase terms resident in the plan's term memo.
-  [[nodiscard]] virtual std::size_t term_count() const = 0;
-  /// Term lookups served (2 per feasible candidate evaluation).
-  [[nodiscard]] virtual std::uint64_t term_requests() const = 0;
-  /// Term lookups that had to run a phase simulation (memo misses).
-  [[nodiscard]] virtual std::uint64_t term_builds() const = 0;
-  /// Estimated bytes of chunked-term timelines resident in the plan's term
-  /// store. NOT deterministic near the admission budget (which candidate's
-  /// timeline wins admission at saturation depends on thread schedule), so
-  /// this feeds metrics/CLI output only — never goldened responses.
-  [[nodiscard]] virtual std::size_t term_timeline_bytes() const = 0;
-};
+/// The batched evaluation plan the context caches (engine/eval_core.hpp;
+/// declared here only, because eval_core.hpp includes this header).
+class PipelineEvalPlan;
 
 /// Aggregated per-context plan counters; see WorkloadContext::eval_stats.
 struct ContextEvalStats {
-  std::uint64_t plans = 0;          // distinct (substrate, layer) plans
+  std::uint64_t plans = 0;          // distinct (substrate, chain) plans
   std::uint64_t terms = 0;          // resident terms across all plans
   std::uint64_t term_requests = 0;
   std::uint64_t term_builds = 0;
@@ -150,14 +131,15 @@ class WorkloadContext {
   /// reached (observability for long-lived service contexts).
   [[nodiscard]] std::size_t phase_memo_overflow() const;
 
-  /// Memoized delta-evaluation plan. `signature` captures everything the
-  /// plan depends on besides the graph (substrate + energy model + layer
-  /// shape — see EvalPlan::obtain); `build` runs at most once per
-  /// signature. Same once-entry discipline as phase_result: concurrent
-  /// misses on different signatures build in parallel.
-  [[nodiscard]] std::shared_ptr<EvalPlanBase> eval_plan(
+  /// Memoized evaluation plan. `signature` captures everything the plan
+  /// depends on besides the graph (substrate + energy model + chain — see
+  /// PipelineEvalPlan::obtain); `build` runs at most once per signature.
+  /// Same once-entry discipline as phase_result: concurrent misses on
+  /// different signatures build in parallel.
+  [[nodiscard]] std::shared_ptr<const PipelineEvalPlan> eval_plan(
       const std::string& signature,
-      const std::function<std::shared_ptr<EvalPlanBase>()>& build) const;
+      const std::function<std::shared_ptr<const PipelineEvalPlan>()>& build)
+      const;
 
   /// Number of distinct plans resident (observability / tests).
   [[nodiscard]] std::size_t eval_plan_count() const;
@@ -196,7 +178,7 @@ class WorkloadContext {
   struct PlanEntry {
     std::once_flag once;
     std::exception_ptr error;
-    std::shared_ptr<EvalPlanBase> plan;
+    std::shared_ptr<const PipelineEvalPlan> plan;
   };
 
   const CSRGraph* adjacency_;

@@ -80,7 +80,7 @@ class WorkloadRegistry {
 
   /// Evaluation-core counters summed over the resident entries' contexts
   /// (plans / terms / term requests / term builds — all deterministic for a
-  /// given request sequence; see EvalPlanBase). Entries still mid-build
+  /// given request sequence; see PipelineEvalPlan). Entries still mid-build
   /// contribute nothing yet.
   [[nodiscard]] ContextEvalStats eval_stats() const;
 

@@ -127,18 +127,21 @@ std::string MappingService::handle(const Request& request) {
       return evaluate_response(request.id, workload, r, request.version);
     }
     case RequestKind::kSearchMappings: {
+      SearchOptions options = request.search;
+      options.trace = options_.trace;
       const SearchResult r =
           search_mappings(omega, workload, LayerSpec{request.out_features},
-                          request.search, &entry->context);
+                          options, &entry->context);
       span.reset();
       const obs::ScopedSpan ser(options_.trace, "serialize", "service");
       return search_mappings_response(request.id, workload, r,
                                      request.version);
     }
     case RequestKind::kSearchPipeline: {
+      PipelineSearchOptions options = request.pipeline_search;
+      options.trace = options_.trace;
       const PipelineSearchResult r = search_pipeline_mappings(
-          omega, workload, request.chain, request.pipeline_search,
-          &entry->context);
+          omega, workload, request.chain, options, &entry->context);
       span.reset();
       const obs::ScopedSpan ser(options_.trace, "serialize", "service");
       return search_pipeline_response(request.id, workload, request.chain, r,
@@ -150,8 +153,10 @@ std::string MappingService::handle(const Request& request) {
       spec.feature_widths.push_back(workload.in_features);
       spec.feature_widths.insert(spec.feature_widths.end(),
                                  request.widths.begin(), request.widths.end());
+      ModelSearchOptions options = request.model_options;
+      options.layer.trace = options_.trace;
       const ModelSearchResult r = search_model_mappings(
-          omega, workload, spec, request.model_options, &entry->context);
+          omega, workload, spec, options, &entry->context);
       span.reset();
       const obs::ScopedSpan ser(options_.trace, "serialize", "service");
       return search_model_response(request.id, workload, spec, r,

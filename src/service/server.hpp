@@ -37,8 +37,9 @@ struct ServiceOptions {
   /// request's internal sweep additionally parallelizes on the same pool.
   std::size_t threads = 0;
   /// When non-null, every request emits parse / registry_lookup / evaluate /
-  /// serialize spans (wall-clock, category "service") into this collector.
-  /// Null = zero instrumentation cost.
+  /// serialize spans (wall-clock, category "service") into this collector,
+  /// and search requests add their sweep's enumerate / prune / evaluate /
+  /// rank spans (category "dse"). Null = zero instrumentation cost.
   obs::TraceCollector* trace = nullptr;
 };
 

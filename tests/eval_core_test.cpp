@@ -1,17 +1,27 @@
-// Delta/batched evaluation core vs the scalar oracle (engine/eval_core.hpp).
+// Batched evaluation core vs the scalar oracle (engine/eval_core.hpp).
 //
-// The parity contract under test: for every descriptor — valid or not —
-// EvalPlan::evaluate_one and evaluate_batch return bit-identical
-// (cycles, on_chip_pj) to Omega::run through the same WorkloadContext, and
-// ok == false exactly when Omega::run throws Error. The fuzz walks random
-// base descriptors plus single-field mutations (the neighborhood structure
-// delta slots are built for), reusing one DeltaState throughout so stale
-// slots from a previous candidate can never leak into the next.
+// The parity contract under test: every candidate a search evaluates flows
+// through PipelineEvalPlan::evaluate_batch, which must return bit-identical
+// (cycles, on_chip_pj) to the scalar oracle through the same
+// WorkloadContext, and ok == false exactly when the oracle throws Error.
+// Two fuzzes walk random base candidates plus single-field mutations (the
+// neighborhood structure the per-position L1 slots are built for):
+//  * two-phase descriptors, lowered with lower_two_phase_candidate onto the
+//    AC or CA chain exactly as search_mappings lowers them, against
+//    Omega::run;
+//  * 3-phase GAT-style bindings (gemm -> spmm -> spgemm) against
+//    Omega::run_pipeline.
+// Each population is evaluated at block sizes 1 and 257, reusing one state
+// per chain throughout, so stale slots from an earlier block can never leak
+// into the next.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
+#include <span>
 #include <vector>
 
+#include "dse/pipeline_search.hpp"
 #include "dse/search.hpp"
 #include "engine/eval_core.hpp"
 #include "graph/generators.hpp"
@@ -36,9 +46,10 @@ AcceleratorConfig small_hw() {
   return hw;
 }
 
-EvalOutcome oracle(const Omega& omega, const GnnWorkload& w,
-                   const LayerSpec& layer, const DataflowDescriptor& df,
-                   const WorkloadContext& context) {
+EvalOutcome two_phase_oracle(const Omega& omega, const GnnWorkload& w,
+                             const LayerSpec& layer,
+                             const DataflowDescriptor& df,
+                             const WorkloadContext& context) {
   EvalOutcome o;
   try {
     const RunResult r = omega.run(w, layer, df, context);
@@ -49,6 +60,62 @@ EvalOutcome oracle(const Omega& omega, const GnnWorkload& w,
     o.ok = false;
   }
   return o;
+}
+
+EvalOutcome pipeline_oracle(const Omega& omega, const GnnWorkload& w,
+                            const PipelineChainSpec& chain,
+                            const PipelineCandidate& c,
+                            const WorkloadContext& context) {
+  EvalOutcome o;
+  try {
+    const PipelineResult r =
+        omega.run_pipeline(w, chain.bind(c.view()), &context);
+    o.cycles = r.cycles;
+    o.on_chip_pj = r.energy.on_chip_pj();
+    o.ok = true;
+  } catch (const Error&) {
+    o.ok = false;
+  }
+  return o;
+}
+
+/// Evaluates `cands` through their chains' plans in blocks of at most
+/// `block` same-chain candidates and checks every outcome against `want`
+/// (bit-identical metrics, identical verdicts). Returns the L1 slot hits.
+std::uint64_t expect_batches_match(
+    std::span<const std::shared_ptr<const PipelineEvalPlan>> plans,
+    const std::vector<PipelineCandidate>& cands,
+    const std::vector<EvalOutcome>& want, std::size_t block) {
+  std::vector<PipelineDeltaState> states(plans.size());
+  std::vector<EvalOutcome> got(cands.size());
+  for (std::size_t c = 0; c < plans.size(); ++c) {
+    std::vector<std::size_t> idx;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (cands[i].chain_index == c) idx.push_back(i);
+    }
+    std::vector<PipelineBindingView> views;
+    std::vector<EvalOutcome> out;
+    for (std::size_t from = 0; from < idx.size(); from += block) {
+      const std::size_t n = std::min(block, idx.size() - from);
+      views.clear();
+      for (std::size_t k = 0; k < n; ++k) {
+        views.push_back(cands[idx[from + k]].view());
+      }
+      out.assign(n, EvalOutcome{});
+      plans[c]->evaluate_batch(views, out.data(), states[c]);
+      for (std::size_t k = 0; k < n; ++k) got[idx[from + k]] = out[k];
+    }
+  }
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    SCOPED_TRACE(cands[i].key() + " (block " + std::to_string(block) + ")");
+    EXPECT_EQ(got[i].ok, want[i].ok);
+    EXPECT_EQ(got[i].cycles, want[i].cycles);
+    EXPECT_EQ(got[i].on_chip_pj, want[i].on_chip_pj);
+    if (::testing::Test::HasFailure()) return 0;
+  }
+  std::uint64_t hits = 0;
+  for (const PipelineDeltaState& s : states) hits += s.delta_hits;
+  return hits;
 }
 
 /// Mutates exactly one descriptor field. Mutants may be invalid (bad tile
@@ -89,6 +156,50 @@ DataflowDescriptor mutate_one_field(DataflowDescriptor df, std::mt19937& rng) {
   return df;
 }
 
+struct Verdicts {
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+};
+
+/// Lowers every descriptor onto the AC (0) or CA (1) chain exactly as
+/// search_mappings lowers it and checks the batched core against Omega::run
+/// at block sizes 1 and 257. `context` must be fresh (the term-request
+/// floor below counts from zero).
+Verdicts expect_two_phase_parity(const Omega& omega, const GnnWorkload& w,
+                                 const LayerSpec& layer,
+                                 const WorkloadContext& context,
+                                 const std::vector<DataflowDescriptor>& dfs) {
+  const std::array<std::shared_ptr<const PipelineEvalPlan>, 2> plans = {
+      PipelineEvalPlan::obtain(omega, w,
+                               two_phase_chain(PhaseOrder::kAC, layer),
+                               context),
+      PipelineEvalPlan::obtain(omega, w,
+                               two_phase_chain(PhaseOrder::kCA, layer),
+                               context)};
+  Verdicts v;
+  std::vector<PipelineCandidate> cands;
+  std::vector<EvalOutcome> expected;
+  for (const DataflowDescriptor& df : dfs) {
+    const EvalOutcome want = two_phase_oracle(omega, w, layer, df, context);
+    ++(want.ok ? v.feasible : v.infeasible);
+    cands.push_back(lower_two_phase_candidate(
+        df, df.phase_order == PhaseOrder::kCA ? 1 : 0, layer,
+        omega.config().num_pes));
+    expected.push_back(want);
+  }
+  for (const std::size_t block : {std::size_t{1}, std::size_t{257}}) {
+    const std::uint64_t hits =
+        expect_batches_match(plans, cands, expected, block);
+    if (::testing::Test::HasFailure()) return v;
+    EXPECT_GT(hits, 0u) << "block " << block;
+  }
+  const std::uint64_t requests =
+      plans[0]->term_requests() + plans[1]->term_requests();
+  EXPECT_GE(requests, 2 * 2 * v.feasible);  // two terms, two passes
+  EXPECT_LE(plans[0]->term_builds() + plans[1]->term_builds(), requests);
+  return v;
+}
+
 TEST(EvalCoreFuzz, SingleFieldMutationsMatchScalarOracle) {
   const GnnWorkload w = fuzz_workload();
   const LayerSpec layer{16};
@@ -102,62 +213,152 @@ TEST(EvalCoreFuzz, SingleFieldMutationsMatchScalarOracle) {
       gen, dims_of(w, layer), omega.config().num_pes);
   ASSERT_GT(base.size(), 100u);
 
-  const auto plan = EvalPlan::obtain(omega, w, layer, context);
-  ASSERT_NE(plan, nullptr);
-
   std::mt19937 rng(20240807);
-  DeltaState state;  // reused across all cases: stale slots must never leak
-  std::vector<DataflowDescriptor> mutants;
-  std::vector<EvalOutcome> expected;
-  std::size_t cases = 0;
-  std::size_t feasible = 0;
-  std::size_t infeasible = 0;
-  while (cases < 4200) {
+  std::vector<DataflowDescriptor> dfs;
+  while (dfs.size() < 4200) {
     const DataflowDescriptor& b =
         base[std::uniform_int_distribution<std::size_t>(0, base.size() - 1)(
             rng)];
-    const DataflowDescriptor m = mutate_one_field(b, rng);
-    for (const DataflowDescriptor* df : {&b, &m}) {
-      const EvalOutcome want = oracle(omega, w, layer, *df, context);
-      const EvalOutcome got = plan->evaluate_one(*df, state);
-      ASSERT_EQ(got.ok, want.ok) << df->to_string();
-      if (want.ok) {
-        ASSERT_EQ(got.cycles, want.cycles) << df->to_string();
-        ASSERT_EQ(got.on_chip_pj, want.on_chip_pj) << df->to_string();
-        ++feasible;
-      } else {
-        ASSERT_EQ(got.cycles, 0u);
-        ++infeasible;
-      }
-      mutants.push_back(*df);
-      expected.push_back(want);
-      ++cases;
-    }
+    dfs.push_back(b);
+    dfs.push_back(mutate_one_field(b, rng));
   }
+  const Verdicts v = expect_two_phase_parity(omega, w, layer, context, dfs);
   // The neighborhood must exercise both verdicts, or the fuzz proves less
   // than it claims.
+  EXPECT_GT(v.feasible, 100u);
+  EXPECT_GT(v.infeasible, 100u);
+}
+
+TEST(EvalCoreFuzz, SpOptimizedNeighborhoodsMatchScalarOracle) {
+  // SP-Optimized descriptors are about a dozen of the ~71k base
+  // candidates, so the random walk above almost never lands on one; walk
+  // each one's neighborhood here so the RF-resident handoff flags are
+  // checked (the enumerated ones are all AC: the spmm producer's out_to_rf
+  // and the gemm consumer's a_from_rf).
+  const GnnWorkload w = fuzz_workload();
+  const LayerSpec layer{16};
+  const Omega omega(small_hw());
+  const WorkloadContext context(w.adjacency);
+  (void)context.reverse_graph();
+
+  SearchOptions gen;
+  gen.include_ca = true;
+  std::mt19937 rng(20240807);
+  std::vector<DataflowDescriptor> dfs;
+  std::size_t spo_bases = 0;
+  for (const DataflowDescriptor& b : enumerate_search_candidates(
+           gen, dims_of(w, layer), omega.config().num_pes)) {
+    if (b.inter != InterPhase::kSPOptimized) continue;
+    ++spo_bases;
+    dfs.push_back(b);
+    for (int k = 0; k < 16; ++k) dfs.push_back(mutate_one_field(b, rng));
+  }
+  ASSERT_GE(spo_bases, 4u);
+  const Verdicts v = expect_two_phase_parity(omega, w, layer, context, dfs);
+  EXPECT_GE(v.feasible, spo_bases);
+  EXPECT_GT(v.infeasible, 0u);
+}
+
+/// Mutates exactly one binding field of an N-phase candidate: one
+/// boundary's strategy, one PE fraction, one tile of one phase, or one
+/// phase's loop order. Mutants may be invalid; both sides must then agree
+/// the candidate is infeasible.
+PipelineCandidate mutate_one_binding_field(PipelineCandidate c,
+                                           std::mt19937& rng) {
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  switch (pick(4)) {
+    case 0:
+      c.boundaries[pick(c.boundaries.size())] =
+          static_cast<InterPhase>(pick(4));
+      break;
+    case 1: {
+      constexpr double kFracs[] = {0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 3.0};
+      if (c.pe_fractions.empty()) c.pe_fractions.assign(c.phases.size(), 1.0);
+      c.pe_fractions[pick(c.pe_fractions.size())] = kFracs[pick(7)];
+      break;
+    }
+    case 2: {
+      TileSizes& t = c.phases[pick(c.phases.size())].tiles;
+      std::size_t* dims[] = {&t.v, &t.n, &t.f, &t.g};
+      std::size_t& d = *dims[pick(4)];
+      d = pick(2) == 0 ? d * 2 : std::max<std::size_t>(1, d / 2);
+      break;
+    }
+    default: {
+      IntraPhaseDataflow& df = c.phases[pick(c.phases.size())];
+      std::array<Dim, 3> dims = {df.order.at(0), df.order.at(1),
+                                 df.order.at(2)};
+      for (std::size_t k = pick(6); k > 0; --k) {
+        std::next_permutation(dims.begin(), dims.end());
+      }
+      df.order = LoopOrder(dims[0], dims[1], dims[2]);
+      break;
+    }
+  }
+  return c;
+}
+
+TEST(EvalCoreFuzz, PipelineBindingMutationsMatchRunPipeline) {
+  const GnnWorkload w = fuzz_workload();
+  // A 4 KiB global buffer makes Seq intermediates spill to DRAM, a path the
+  // 128-vertex workload never reaches on the default 4 MiB buffer.
+  AcceleratorConfig hw = small_hw();
+  hw.gb_bytes = 4096;
+  const Omega omega(hw);
+  const WorkloadContext context(w.adjacency);
+  PipelineChainSpec chain;
+  chain.phases = {{.name = "score",
+                   .engine = PhaseEngine::kDenseDense,
+                   .out_features = 16},
+                  {.name = "agg", .engine = PhaseEngine::kSparseDense},
+                  {.name = "xform",
+                   .engine = PhaseEngine::kSparseSparse,
+                   .out_features = 8,
+                   .weight_density = 0.5}};
+
+  // Base bindings: the feasible part of a deterministic stride subsample of
+  // the chain's population (all of it is ~2M bindings), evaluated by the
+  // scalar oracle so the base set never depends on the plan under test.
+  PipelineSearchOptions gen;
+  gen.max_candidates = 1024;
+  gen.top_k = 1024;
+  gen.eval_path = EvalPath::kScalar;
+  std::vector<PipelineCandidate> base;
+  for (const RankedPipelineCandidate& rc :
+       search_pipeline_mappings(omega, w, chain, gen, &context).ranked) {
+    base.push_back(rc.candidate);
+  }
+  ASSERT_GT(base.size(), 100u);
+  const std::array<std::shared_ptr<const PipelineEvalPlan>, 1> plans = {
+      PipelineEvalPlan::obtain(omega, w, chain, context)};
+
+  std::mt19937 rng(20240807);
+  std::vector<PipelineCandidate> cands;
+  std::vector<EvalOutcome> expected;
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  while (cands.size() < 4200) {
+    const PipelineCandidate& b =
+        base[std::uniform_int_distribution<std::size_t>(0, base.size() - 1)(
+            rng)];
+    const PipelineCandidate m = mutate_one_binding_field(b, rng);
+    for (const PipelineCandidate* c : {&b, &m}) {
+      const EvalOutcome want = pipeline_oracle(omega, w, chain, *c, context);
+      ++(want.ok ? feasible : infeasible);
+      cands.push_back(*c);
+      expected.push_back(want);
+    }
+  }
   EXPECT_GT(feasible, 100u);
   EXPECT_GT(infeasible, 100u);
-  EXPECT_GT(state.delta_hits, 0u);
-  EXPECT_GE(plan->term_requests(), 2 * feasible);
-  EXPECT_LE(plan->term_builds(), plan->term_requests());
 
-  // Batch pass over the exact same population: evaluate_batch must
-  // reproduce the per-candidate outcomes regardless of batch boundaries.
-  std::vector<const DataflowDescriptor*> ptrs;
-  ptrs.reserve(mutants.size());
-  for (const DataflowDescriptor& df : mutants) ptrs.push_back(&df);
-  std::vector<EvalOutcome> out(ptrs.size());
-  for (std::size_t from = 0; from < ptrs.size(); from += 257) {
-    const std::size_t n = std::min<std::size_t>(257, ptrs.size() - from);
-    plan->evaluate_batch({ptrs.data() + from, n}, out.data() + from, state);
+  for (const std::size_t block : {std::size_t{1}, std::size_t{257}}) {
+    (void)expect_batches_match(plans, cands, expected, block);
+    ASSERT_FALSE(HasFailure());
   }
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    ASSERT_EQ(out[i].ok, expected[i].ok) << mutants[i].to_string();
-    ASSERT_EQ(out[i].cycles, expected[i].cycles) << mutants[i].to_string();
-    ASSERT_EQ(out[i].on_chip_pj, expected[i].on_chip_pj)
-        << mutants[i].to_string();
-  }
+  EXPECT_GT(plans[0]->term_requests(), 0u);
 }
 
 TEST(EvalCoreFuzz, PlanIsCachedPerContextSignature) {
@@ -165,19 +366,21 @@ TEST(EvalCoreFuzz, PlanIsCachedPerContextSignature) {
   const LayerSpec layer{16};
   const Omega omega(small_hw());
   const WorkloadContext context(w.adjacency);
-  const auto a = EvalPlan::obtain(omega, w, layer, context);
-  const auto b = EvalPlan::obtain(omega, w, layer, context);
+  const PipelineChainSpec ac = two_phase_chain(PhaseOrder::kAC, layer);
+  const auto a = PipelineEvalPlan::obtain(omega, w, ac, context);
+  const auto b = PipelineEvalPlan::obtain(omega, w, ac, context);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(context.eval_plan_count(), 1u);
-  // A different layer shape is a different plan.
-  const auto c = EvalPlan::obtain(omega, w, LayerSpec{8}, context);
+  // A different layer shape is a different chain, hence a different plan.
+  const auto c = PipelineEvalPlan::obtain(
+      omega, w, two_phase_chain(PhaseOrder::kAC, LayerSpec{8}), context);
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(context.eval_plan_count(), 2u);
 }
 
-/// Ranked + Pareto output of search_mappings must be bit-identical across
-/// the three evaluation paths, all four inter-phase modes, and thread
-/// counts — the acceptance gate of the delta core.
+/// Ranked + Pareto output of search_mappings must be bit-identical between
+/// the batched and scalar paths across all four inter-phase modes and
+/// thread counts — the acceptance gate of the batched core.
 class EvalCoreSearchParity : public ::testing::TestWithParam<InterPhase> {};
 
 void expect_same_candidates(const std::vector<Candidate>& a,
@@ -212,27 +415,20 @@ TEST_P(EvalCoreSearchParity, RankedAndParetoIdenticalAcrossPathsAndThreads) {
   const SearchResult want = search_mappings(omega, w, layer, scalar);
   ASSERT_GT(want.evaluated, 0u);
 
-  for (const EvalPath path : {EvalPath::kDelta, EvalPath::kBatched}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SearchOptions so = base;
-      so.eval_path = path;
-      so.threads = threads;
-      const SearchResult got = search_mappings(omega, w, layer, so);
-      const std::string label = std::string(to_string(path)) + "/t" +
-                                std::to_string(threads);
-      EXPECT_EQ(got.generated, want.generated) << label;
-      EXPECT_EQ(got.evaluated, want.evaluated) << label;
-      expect_same_candidates(want.ranked, got.ranked, label + "/ranked");
-      expect_same_candidates(want.pareto, got.pareto, label + "/pareto");
-      if (path == EvalPath::kBatched) {
-        EXPECT_GT(got.eval.batches, 0u) << label;
-        EXPECT_EQ(got.eval.batched_candidates, got.generated) << label;
-        EXPECT_GT(got.eval.max_batch, 0u) << label;
-      } else {
-        EXPECT_EQ(got.eval.batches, 0u) << label;
-      }
-      EXPECT_GT(got.eval.term_requests, 0u) << label;
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SearchOptions so = base;
+    so.eval_path = EvalPath::kBatched;
+    so.threads = threads;
+    const SearchResult got = search_mappings(omega, w, layer, so);
+    const std::string label = "batched/t" + std::to_string(threads);
+    EXPECT_EQ(got.generated, want.generated) << label;
+    EXPECT_EQ(got.evaluated, want.evaluated) << label;
+    expect_same_candidates(want.ranked, got.ranked, label + "/ranked");
+    expect_same_candidates(want.pareto, got.pareto, label + "/pareto");
+    EXPECT_GT(got.eval.batches, 0u) << label;
+    EXPECT_EQ(got.eval.batched_candidates, got.generated) << label;
+    EXPECT_GT(got.eval.max_batch, 0u) << label;
+    EXPECT_GT(got.eval.term_requests, 0u) << label;
   }
 }
 

@@ -733,5 +733,48 @@ TEST(ServiceTraceTest, RequestSpansLandInTheCollector) {
   EXPECT_NE(std::find(names.begin(), names.end(), "serialize"), names.end());
 }
 
+TEST(ServiceTraceTest, SearchRequestsCarryDseStageSpans) {
+  obs::TraceCollector tc;
+  ServiceOptions opts;
+  opts.trace = &tc;
+  MappingService svc(opts);
+  const auto dse_spans = [&] {
+    std::vector<std::string> names;
+    for (const obs::TraceEvent& e : tc.events()) {
+      if (e.ph == 'X' && e.cat == "dse") names.push_back(e.name);
+    }
+    return names;
+  };
+  const auto has = [](const std::vector<std::string>& names, const char* n) {
+    return std::find(names.begin(), names.end(), n) != names.end();
+  };
+
+  // The service's collector reaches the sweep: one search_mappings request
+  // emits the enumerate / evaluate / rank stages (no prune requested) ...
+  (void)svc.handle_line(line_search(1));
+  std::vector<std::string> names = dse_spans();
+  EXPECT_TRUE(has(names, "enumerate"));
+  EXPECT_FALSE(has(names, "prune"));
+  EXPECT_TRUE(has(names, "evaluate"));
+  EXPECT_TRUE(has(names, "rank"));
+
+  // ... and a search_model request (pruned by default) adds every stage of
+  // each per-layer sweep, prune included.
+  const std::size_t before = names.size();
+  (void)svc.handle_line(line_model(2));
+  names = dse_spans();
+  EXPECT_GT(names.size(), before);
+  EXPECT_TRUE(has(names, "prune"));
+
+  // A v2 search_pipeline request threads the collector the same way.
+  const std::size_t before_pipeline = names.size();
+  (void)svc.handle_line(
+      R"({"id":3,"version":2,"kind":"search_pipeline","workload":)" +
+      std::string(kCoraQuarter) +
+      R"(,"chain":{"phases":[{"engine":"gemm","out_features":16},)"
+      R"({"engine":"spmm"}]},"options":{"max_candidates":32}})");
+  EXPECT_GE(dse_spans().size(), before_pipeline + 3);
+}
+
 }  // namespace
 }  // namespace omega::service

@@ -54,6 +54,7 @@
 //   omega_cli pattern Collab SP2
 //   omega_cli search-model Cora --widths 16,7 --budget 2000 --json model.json
 //   printf '%s\n' '{"id":1,"kind":"stats"}' | omega_cli serve
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -151,7 +152,7 @@ constexpr CommandHelp kCommands[] = {
      "  --top-k N            ranked entries to keep (default 16)\n"
      "  --prune              lossless lower-bound pruning (any objective)\n"
      "  --no-seeds           drop the Table V seed compositions\n"
-     "  --eval-path batched|delta|scalar  evaluation core (default batched)\n"
+     "  --eval-path batched|scalar  evaluation core (default batched)\n"
      "  --threads N --pes N --bw N --scale X --in-features N --json PATH\n"
      "  --trace PATH         write search-stage spans (enumerate / prune /\n"
      "                       evaluate / rank) as Chrome trace-event JSON\n"
@@ -180,7 +181,7 @@ constexpr CommandHelp kCommands[] = {
      "  --allocation mac|even    budget split across layers\n"
      "  --compose sequential|pipelined\n"
      "  --no-prune               disable lower-bound pruning\n"
-     "  --eval-path batched|delta|scalar  evaluation core (default batched)\n"
+     "  --eval-path batched|scalar  evaluation core (default batched)\n"
      "  --pes N --scale X --json PATH\n"},
     {"run-model", "replay one pattern over every model layer",
      "usage: omega_cli run-model <dataset> <pattern> [flags]\n"
@@ -242,9 +243,13 @@ const CommandHelp* find_command(const std::string& name) {
 }
 
 void print_global_usage(std::ostream& os) {
+  std::size_t width = 0;
+  for (const CommandHelp& c : kCommands) {
+    width = std::max(width, std::string(c.name).size());
+  }
   os << "usage: omega_cli <command> [args]\n\ncommands:\n";
   for (const CommandHelp& c : kCommands) {
-    os << "  " << pad_right(c.name, 14) << c.summary << "\n";
+    os << "  " << pad_right(c.name, width + 1) << c.summary << "\n";
   }
   os << "\n`omega_cli help <command>` or `omega_cli <command> --help` "
         "prints the command's flags.\n";
@@ -526,6 +531,13 @@ int cmd_run_pipeline(int argc, char** argv) {
 
 // ---- search-pipeline --------------------------------------------------------
 
+EvalPath eval_path_from_string(const std::string& p) {
+  if (p == "batched") return EvalPath::kBatched;
+  if (p == "scalar") return EvalPath::kScalar;
+  throw InvalidArgumentError("unknown eval path: " + p +
+                             " (want batched|scalar)");
+}
+
 PhaseChainSpec parse_chain_phase_arg(const std::string& text) {
   PhaseChainSpec p;
   bool saw_engine = false;
@@ -593,11 +605,7 @@ int cmd_search_pipeline(int argc, char** argv) {
     } else if (a == "--no-seeds") {
       pso.seed_table5 = false;
     } else if (a == "--eval-path") {
-      const std::string p = to_lower(next());
-      if (p == "batched") pso.eval_path = EvalPath::kBatched;
-      else if (p == "delta") pso.eval_path = EvalPath::kDelta;
-      else if (p == "scalar") pso.eval_path = EvalPath::kScalar;
-      else throw InvalidArgumentError("unknown eval path: " + p);
+      pso.eval_path = eval_path_from_string(to_lower(next()));
     } else if (a == "--threads") {
       pso.threads = static_cast<std::size_t>(std::stoul(next()));
     } else if (a == "--in-features") {
@@ -772,11 +780,7 @@ int cmd_search_model(int argc, char** argv) {
     } else if (a == "--no-prune") {
       mso.prune = false;
     } else if (a == "--eval-path") {
-      const std::string p = to_lower(next());
-      if (p == "batched") mso.layer.eval_path = EvalPath::kBatched;
-      else if (p == "delta") mso.layer.eval_path = EvalPath::kDelta;
-      else if (p == "scalar") mso.layer.eval_path = EvalPath::kScalar;
-      else throw InvalidArgumentError("unknown eval path: " + p);
+      mso.layer.eval_path = eval_path_from_string(to_lower(next()));
     } else if (a == "--compose") {
       mso.compose = compose_from_string(to_lower(next()));
     } else if (a == "--json") {
