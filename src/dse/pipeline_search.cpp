@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -13,6 +11,7 @@
 #include <utility>
 
 #include "dataflow/patterns.hpp"
+#include "dse/candidate_space.hpp"
 #include "obs/trace.hpp"
 #include "engine/eval_core.hpp"
 #include "engine/schedule_cache.hpp"
@@ -26,11 +25,6 @@ namespace {
 
 constexpr bool is_chunked(InterPhase k) {
   return k == InterPhase::kSPGeneric || k == InterPhase::kParallelPipeline;
-}
-
-std::size_t cap_of(std::size_t extent) {
-  return std::max<std::size_t>(1,
-                               std::bit_ceil(std::max<std::size_t>(extent, 1)));
 }
 
 std::uint64_t ceil_div_u64(std::uint64_t a, std::uint64_t b) {
@@ -47,322 +41,18 @@ double score_of(Objective obj, std::uint64_t cycles, double pj) {
   return static_cast<double>(cycles);
 }
 
-/// Truncation PE split used when sizing tiling budgets at a PP boundary —
-/// deliberately the same floor-based split the legacy enumerator uses for
-/// its tiling budgets (the *evaluator* rounds with llround; generation has
-/// always budgeted with truncation, and the adapter parity pins it).
-std::size_t pp_budget_first(std::size_t pes, double frac) {
-  return std::clamp<std::size_t>(
-      static_cast<std::size_t>(static_cast<double>(pes) * frac), 1, pes - 1);
-}
-
-/// The legacy enumerator options a PipelineSearchOptions projects to.
-SearchOptions legacy_enum_options(const PipelineSearchOptions& o) {
-  SearchOptions s;
-  s.include_seq = o.include_seq;
-  s.include_sp_generic = o.include_sp_generic;
-  s.include_sp_optimized = o.include_sp_optimized;
-  s.include_pp = o.include_pp;
-  s.pp_fractions = o.pp_fractions;
-  s.min_static_utilization = o.min_static_utilization;
-  return s;
-}
-
-/// Binding-invariant per-phase shape, resolved once per chain.
-struct PhaseShape {
-  PhaseEngine engine = PhaseEngine::kDenseDense;
-  std::size_t in_w = 0;
-  std::size_t out_w = 0;
-  /// Loop orders admissible for this phase: the engine vocabulary's six,
-  /// minus G-after-F orders for sparse-weight phases (which walk W^T
-  /// G-major — PipelineSpec::validate would reject the rest).
-  std::vector<LoopOrder> orders;
-};
-
 struct ChainInfo {
-  const PipelineChainSpec* chain = nullptr;
-  std::size_t index = 0;
-  std::size_t n = 0;
-  std::vector<PhaseShape> phases;
+  ChainShape shape;
   std::vector<PipelinePhaseWork> work;
   double energy_lb = 0.0;
-  /// Classic two-phase chain (one sparse-dense + one dense phase): the
-  /// population delegates to the legacy enumerator so the two-phase adapter
-  /// is bit-identical to the historic search_mappings.
-  bool classic = false;
-  PhaseOrder classic_po = PhaseOrder::kAC;
-  LayerSpec classic_layer;
 };
 
 ChainInfo make_chain_info(const PipelineChainSpec& chain,
                           const GnnWorkload& workload, std::size_t index) {
-  {
-    const auto err = chain.chain_error();
-    OMEGA_CHECK(!err, "pipeline search chain " + std::to_string(index) + ": " +
-                          (err ? *err : std::string{}));
-  }
   ChainInfo ci;
-  ci.chain = &chain;
-  ci.index = index;
-  ci.n = chain.phases.size();
+  ci.shape = ChainShape::of(chain, index, workload.in_features);
   ci.work = pipeline_phase_work(chain, workload);
-  std::size_t width =
-      chain.in_features > 0 ? chain.in_features : workload.in_features;
-  for (std::size_t i = 0; i < ci.n; ++i) {
-    const PhaseChainSpec& p = chain.phases[i];
-    PhaseShape sh;
-    sh.engine = p.engine;
-    sh.in_w = width;
-    sh.out_w =
-        p.engine == PhaseEngine::kSparseDense ? width : p.out_features;
-    for (const LoopOrder& o : all_loop_orders(taxonomy_phase(p.engine))) {
-      if (p.engine == PhaseEngine::kSparseSparse &&
-          o.depth_of(Dim::kG) > o.depth_of(Dim::kF)) {
-        continue;
-      }
-      sh.orders.push_back(o);
-    }
-    width = sh.out_w;
-    ci.phases.push_back(std::move(sh));
-  }
-  if (ci.n == 2) {
-    const PhaseEngine e0 = chain.phases[0].engine;
-    const PhaseEngine e1 = chain.phases[1].engine;
-    if (e0 == PhaseEngine::kSparseDense && e1 == PhaseEngine::kDenseDense) {
-      ci.classic = true;
-      ci.classic_po = PhaseOrder::kAC;
-      ci.classic_layer = LayerSpec{.out_features = chain.phases[1].out_features,
-                                   .in_features = chain.in_features};
-    } else if (e0 == PhaseEngine::kDenseDense &&
-               e1 == PhaseEngine::kSparseDense) {
-      ci.classic = true;
-      ci.classic_po = PhaseOrder::kCA;
-      ci.classic_layer = LayerSpec{.out_features = chain.phases[0].out_features,
-                                   .in_features = chain.in_features};
-    }
-  }
   return ci;
-}
-
-/// Deterministic recursive enumerator of a general chain's candidate space:
-/// boundary strategies (with PP fraction assignment) outermost, then per
-/// phase a loop order and a maximal power-of-two tiling at the phase's PE
-/// budget. Taxonomy rules PipelineSpec::validate would reject are applied
-/// generatively (adjacent chunking, sparse-weight consumers of chunked
-/// boundaries, hand-off feasibility, SPO tile tying), so every emitted
-/// candidate binds to a valid spec. The walk calls `sink` once per
-/// candidate; sinks can count on one pass and materialize on a second — the
-/// order is identical.
-class ChainWalker {
- public:
-  ChainWalker(const ChainInfo& ci, const PipelineSearchOptions& opt,
-              const WorkloadDims& dims, std::size_t pes)
-      : ci_(ci), opt_(opt), dims_(dims), pes_(pes) {
-    for (const double f : opt.pp_fractions) {
-      if (std::isfinite(f) && f > 0.0 && f < 1.0) pp_fracs_.push_back(f);
-    }
-    const std::size_t nb = ci.n > 0 ? ci.n - 1 : 0;
-    kinds_.assign(nb, InterPhase::kSequential);
-    fracs_.assign(nb, 0.5);
-    budgets_.assign(ci.n, pes);
-    cur_.assign(ci.n, IntraPhaseDataflow{});
-    tilings_.resize(ci.n);
-  }
-
-  /// Runs the walk; `sink` returns false to stop early.
-  void walk(const std::function<bool()>& sink) {
-    if (ci_.n == 0) return;
-    sink_ = &sink;
-    stop_ = false;
-    choose_boundary(0);
-    sink_ = nullptr;
-  }
-
-  /// The candidate at the current walk point (call from inside a sink).
-  [[nodiscard]] PipelineCandidate materialize() const {
-    PipelineCandidate c;
-    c.chain_index = ci_.index;
-    c.phases = cur_;
-    c.boundaries = kinds_;
-    bool has_pp = false;
-    for (const InterPhase k : kinds_) {
-      has_pp |= k == InterPhase::kParallelPipeline;
-    }
-    if (has_pp) {
-      c.pe_fractions.assign(ci_.n, 1.0);
-      for (std::size_t b = 0; b < kinds_.size(); ++b) {
-        if (kinds_[b] != InterPhase::kParallelPipeline) continue;
-        c.pe_fractions[b] = fracs_[b];
-        c.pe_fractions[b + 1] = 1.0 - fracs_[b];
-      }
-    }
-    return c;
-  }
-
- private:
-  void choose_boundary(std::size_t b) {
-    if (stop_) return;
-    if (b + 1 >= ci_.n) {
-      apply_budgets();
-      walk_phase(0);
-      return;
-    }
-    const bool prev_chunked = b > 0 && is_chunked(kinds_[b - 1]);
-    const PhaseEngine consumer = ci_.phases[b + 1].engine;
-    // A sparse-weight phase streams W^T chunks itself and cannot also
-    // consume from a chunked boundary; adjacent boundaries cannot both be
-    // chunked (each phase stages through at most one).
-    const bool chunk_ok =
-        !prev_chunked && consumer != PhaseEngine::kSparseSparse;
-    const auto try_kind = [&](InterPhase k, double frac) {
-      kinds_[b] = k;
-      fracs_[b] = frac;
-      choose_boundary(b + 1);
-    };
-    if (opt_.include_seq) try_kind(InterPhase::kSequential, 0.5);
-    if (opt_.include_sp_generic && chunk_ok) {
-      try_kind(InterPhase::kSPGeneric, 0.5);
-    }
-    if (opt_.include_sp_optimized) try_kind(InterPhase::kSPOptimized, 0.5);
-    if (opt_.include_pp && pes_ >= 2 && chunk_ok) {
-      for (const double f : pp_fracs_) {
-        try_kind(InterPhase::kParallelPipeline, f);
-      }
-    }
-  }
-
-  void apply_budgets() {
-    std::fill(budgets_.begin(), budgets_.end(), pes_);
-    for (std::size_t b = 0; b < kinds_.size(); ++b) {
-      if (kinds_[b] != InterPhase::kParallelPipeline) continue;
-      const std::size_t first = pp_budget_first(pes_, fracs_[b]);
-      budgets_[b] = first;
-      budgets_[b + 1] = pes_ - first;
-    }
-  }
-
-  void walk_phase(std::size_t i) {
-    if (stop_) return;
-    if (i == ci_.n) {
-      stop_ = !(*sink_)();
-      return;
-    }
-    const PhaseShape& sh = ci_.phases[i];
-    const GnnPhase vocab = taxonomy_phase(sh.engine);
-    for (const LoopOrder& order : sh.orders) {
-      if (stop_) return;
-      if (i > 0) {
-        const InterPhase up = kinds_[i - 1];
-        if (up == InterPhase::kSPGeneric ||
-            up == InterPhase::kParallelPipeline) {
-          const HandoffRole prod =
-              phase_producer_role(ci_.phases[i - 1].engine, cur_[i - 1].order);
-          const HandoffRole cons = phase_consumer_role(sh.engine, order);
-          if (!analyze_handoff(prod, cons).feasible) continue;
-        }
-        if (up == InterPhase::kSPOptimized) {
-          // SPO ties the consumer's tiles to the producer's through the
-          // hand-off roles; there is no independent tiling loop here.
-          const HandoffRole prod =
-              phase_producer_role(ci_.phases[i - 1].engine, cur_[i - 1].order);
-          const HandoffRole cons = phase_consumer_role(sh.engine, order);
-          IntraPhaseDataflow df;
-          df.phase = vocab;
-          df.order = order;
-          df.tiles.set(cons.row, cur_[i - 1].tiles.get(prod.row));
-          df.tiles.set(cons.col, cur_[i - 1].tiles.get(prod.col));
-          if (!sp_optimized_pair_ok(ci_.phases[i - 1].engine, cur_[i - 1],
-                                    sh.engine, df)) {
-            continue;
-          }
-          if (df.spatial_extent() > budgets_[i]) continue;
-          cur_[i] = df;
-          walk_phase(i + 1);
-          continue;
-        }
-      }
-      for (const TileSizes& t : tilings(i, budgets_[i])) {
-        if (stop_) return;
-        cur_[i].phase = vocab;
-        cur_[i].order = order;
-        cur_[i].tiles = t;
-        walk_phase(i + 1);
-      }
-    }
-  }
-
-  const std::vector<TileSizes>& tilings(std::size_t i, std::size_t budget) {
-    auto& cache = tilings_[i];
-    for (const auto& [b, list] : cache) {
-      if (b == budget) return list;
-    }
-    const PhaseShape& sh = ci_.phases[i];
-    const bool sparse_dense = sh.engine == PhaseEngine::kSparseDense;
-    const auto triples =
-        sparse_dense
-            ? enumerate_tile_triples(
-                  budget, cap_of(dims_.vertices),
-                  cap_of(std::max<std::size_t>(dims_.max_degree, 1)),
-                  cap_of(sh.in_w), opt_.min_static_utilization)
-            : enumerate_tile_triples(budget, cap_of(dims_.vertices),
-                                     cap_of(sh.in_w), cap_of(sh.out_w),
-                                     opt_.min_static_utilization);
-    std::vector<TileSizes> list;
-    list.reserve(triples.size());
-    for (const auto& [a, b, c] : triples) {
-      TileSizes t;
-      t.v = a;
-      if (sparse_dense) {
-        t.n = b;
-        t.f = c;
-      } else {
-        t.f = b;
-        t.g = c;
-      }
-      list.push_back(t);
-    }
-    cache.emplace_back(budget, std::move(list));
-    return cache.back().second;
-  }
-
-  const ChainInfo& ci_;
-  const PipelineSearchOptions& opt_;
-  WorkloadDims dims_;
-  std::size_t pes_;
-  std::vector<double> pp_fracs_;
-  std::vector<InterPhase> kinds_;
-  std::vector<double> fracs_;
-  std::vector<std::size_t> budgets_;
-  std::vector<IntraPhaseDataflow> cur_;
-  std::vector<std::vector<std::pair<std::size_t, std::vector<TileSizes>>>>
-      tilings_;
-  const std::function<bool()>* sink_ = nullptr;
-  bool stop_ = false;
-};
-
-WorkloadDims chain_dims_of(const ChainInfo& ci, const GnnWorkload& workload) {
-  return dims_of(workload,
-                 ci.classic ? ci.classic_layer
-                            : LayerSpec{.out_features = 1,
-                                        .in_features = ci.chain->in_features});
-}
-
-/// The legacy candidate population of a classic chain, in legacy
-/// enumeration order (CA chains enumerate both orders and keep kCA so the
-/// relative order matches the include_ca=true legacy walk).
-std::vector<DataflowDescriptor> classic_population(
-    const ChainInfo& ci, const PipelineSearchOptions& options,
-    const WorkloadDims& dims, std::size_t pes) {
-  SearchOptions so = legacy_enum_options(options);
-  so.include_ca = ci.classic_po == PhaseOrder::kCA;
-  std::vector<DataflowDescriptor> pop =
-      enumerate_search_candidates(so, dims, pes);
-  if (ci.classic_po == PhaseOrder::kCA) {
-    std::erase_if(pop, [](const DataflowDescriptor& df) {
-      return df.phase_order != PhaseOrder::kCA;
-    });
-  }
-  return pop;
 }
 
 }  // namespace
@@ -542,42 +232,28 @@ std::vector<PipelineCandidate> enumerate_pipeline_candidates(
     const PipelineChainSpec& chain, std::size_t chain_index,
     const GnnWorkload& workload, std::size_t pes,
     const PipelineSearchOptions& options) {
-  const ChainInfo ci = make_chain_info(chain, workload, chain_index);
-  const WorkloadDims dims = chain_dims_of(ci, workload);
-  std::vector<PipelineCandidate> out;
-  if (ci.classic) {
-    for (const DataflowDescriptor& df :
-         classic_population(ci, options, dims, pes)) {
-      out.push_back(
-          lower_two_phase_candidate(df, chain_index, ci.classic_layer, pes));
-    }
-    return out;
-  }
-  ChainWalker walker(ci, options, dims, pes);
-  walker.walk([&] {
-    out.push_back(walker.materialize());
-    return true;
-  });
-  return out;
+  return CandidateSpace(chain, chain_index, workload, pes, options)
+      .decode_all();
 }
 
 std::vector<PipelineCandidate> table5_pipeline_seeds(
     const Omega& omega, const GnnWorkload& workload,
     const PipelineChainSpec& chain, std::size_t chain_index) {
   std::vector<PipelineCandidate> out;
-  const ChainInfo ci = make_chain_info(chain, workload, chain_index);
+  const ChainShape shape =
+      ChainShape::of(chain, chain_index, workload.in_features);
   const AcceleratorConfig& hw = omega.config();
   const std::size_t pes = hw.num_pes;
 
-  if (ci.classic) {
-    const WorkloadDims dims = dims_of(workload, ci.classic_layer);
+  if (shape.classic) {
+    const WorkloadDims dims = dims_of(workload, shape.classic_layer);
     for (const DataflowPattern& pattern : table5_patterns()) {
-      if (pattern.phase_order != ci.classic_po) continue;
+      if (pattern.phase_order != *shape.classic) continue;
       try {
         const DataflowDescriptor df = bind_tiles(pattern, dims, hw);
         if (df.validation_error()) continue;
         out.push_back(lower_two_phase_candidate(df, chain_index,
-                                                ci.classic_layer, pes));
+                                                shape.classic_layer, pes));
       } catch (const Error&) {
         // Pattern does not fit this workload/substrate; skip.
       }
@@ -585,8 +261,10 @@ std::vector<PipelineCandidate> table5_pipeline_seeds(
     return out;
   }
 
-  const WorkloadDims base = chain_dims_of(ci, workload);
-  const std::size_t nb = ci.n > 0 ? ci.n - 1 : 0;
+  const std::size_t n = shape.phases.size();
+  const WorkloadDims base = dims_of(
+      workload, LayerSpec{.out_features = 1, .in_features = chain.in_features});
+  const std::size_t nb = n > 0 ? n - 1 : 0;
   for (const DataflowPattern& pattern : table5_patterns()) {
     // Per-boundary strategy: the pattern's, demoted to Seq wherever the
     // chain cannot admit it (single-PE arrays, sparse-weight consumers,
@@ -598,7 +276,7 @@ std::vector<PipelineCandidate> table5_pipeline_seeds(
         k = InterPhase::kSequential;
       }
       if (is_chunked(k) &&
-          ci.phases[b + 1].engine == PhaseEngine::kSparseSparse) {
+          shape.phases[b + 1].engine == PhaseEngine::kSparseSparse) {
         k = InterPhase::kSequential;
       }
       if (is_chunked(k) && b > 0 && is_chunked(kinds[b - 1])) {
@@ -608,7 +286,7 @@ std::vector<PipelineCandidate> table5_pipeline_seeds(
     }
     double frac = pattern.pp_agg_pe_fraction;
     if (!(std::isfinite(frac) && frac > 0.0 && frac < 1.0)) frac = 0.5;
-    std::vector<std::size_t> budgets(ci.n, pes);
+    std::vector<std::size_t> budgets(n, pes);
     bool has_pp = false;
     for (std::size_t b = 0; b < nb; ++b) {
       if (kinds[b] != InterPhase::kParallelPipeline) continue;
@@ -622,10 +300,10 @@ std::vector<PipelineCandidate> table5_pipeline_seeds(
     DataflowPattern bp = pattern;
     bp.inter = InterPhase::kSequential;
     bp.phase_order = PhaseOrder::kAC;
-    std::vector<IntraPhaseDataflow> phases(ci.n);
+    std::vector<IntraPhaseDataflow> phases(n);
     bool bound_ok = true;
-    for (std::size_t i = 0; i < ci.n; ++i) {
-      const PhaseShape& sh = ci.phases[i];
+    for (std::size_t i = 0; i < n; ++i) {
+      const ChainShape::Phase& sh = shape.phases[i];
       WorkloadDims pd = base;
       pd.in_features = std::max<std::size_t>(sh.in_w, 1);
       pd.out_features = std::max<std::size_t>(sh.out_w, 1);
@@ -659,7 +337,7 @@ std::vector<PipelineCandidate> table5_pipeline_seeds(
       c.phases = phases;
       c.boundaries = ks;
       if (with_pp) {
-        c.pe_fractions.assign(ci.n, 1.0);
+        c.pe_fractions.assign(n, 1.0);
         for (std::size_t b = 0; b < nb; ++b) {
           if (ks[b] != InterPhase::kParallelPipeline) continue;
           c.pe_fractions[b] = frac;
@@ -716,30 +394,20 @@ PipelineSearchResult search_pipeline_mappings(
         pipeline_energy_lower_bound(infos.back().work, omega.energy_model());
   }
 
-  // Per-chain populations: classic chains delegate to the legacy enumerator
-  // (materialized up front — descriptors are small); general chains run the
-  // walker in count mode and materialize only the sampled points below.
-  std::vector<WorkloadDims> dims(chains.size());
-  std::vector<std::vector<DataflowDescriptor>> legacy_pop(chains.size());
-  std::vector<std::unique_ptr<ChainWalker>> walkers(chains.size());
+  // Per-chain candidate spaces, counted without walking them; only the
+  // sampled indices are decoded below.
+  std::vector<std::optional<CandidateSpace>> spaces(chains.size());
   std::vector<std::size_t> prefix(chains.size() + 1, 0);
   for (std::size_t c = 0; c < chains.size(); ++c) {
     std::size_t population = 0;
     if (c < enumerated) {
-      dims[c] = chain_dims_of(infos[c], workload);
-      if (infos[c].classic) {
-        legacy_pop[c] = classic_population(infos[c], options, dims[c], pes);
-        population = legacy_pop[c].size();
-      } else {
-        walkers[c] =
-            std::make_unique<ChainWalker>(infos[c], options, dims[c], pes);
-        walkers[c]->walk([&] {
-          ++population;
-          return true;
-        });
-      }
+      spaces[c].emplace(chains[c], c, workload, pes, options);
+      population = spaces[c]->size();
     }
-    prefix[c + 1] = prefix[c] + population;
+    if (__builtin_add_overflow(prefix[c], population, &prefix[c + 1])) {
+      throw InvalidArgumentError(
+          "pipeline search space is larger than size_t; narrow the options");
+    }
   }
   const std::size_t total = prefix.back();
 
@@ -760,7 +428,10 @@ PipelineSearchResult search_pipeline_mappings(
   }
 
   PipelineSearchResult result;
-  result.generated = total + extras.size();
+  if (__builtin_add_overflow(total, extras.size(), &result.generated)) {
+    throw InvalidArgumentError(
+        "pipeline search space is larger than size_t; narrow the options");
+  }
 
   // Deterministic stride subsampling under a candidate cap, over the
   // concatenated per-chain populations; extras ride along after the sample,
@@ -772,46 +443,15 @@ PipelineSearchResult search_pipeline_mappings(
   if (selected == 0) return result;
 
   std::vector<PipelineCandidate> cands(selected);
-  {
-    // Global sample index -> (chain, local index, destination slot). The
-    // stride map is strictly increasing, so per-chain locals arrive sorted
-    // and one materialize pass per chain suffices.
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> targets(
-        chains.size());
-    for (std::size_t i = 0; i < sampled; ++i) {
-      const std::size_t g =
-          capped ? stride_sample_index(i, total, sampled) : i;
-      const std::size_t c =
-          static_cast<std::size_t>(
-              std::upper_bound(prefix.begin(), prefix.end(), g) -
-              prefix.begin()) -
-          1;
-      targets[c].emplace_back(g - prefix[c], i);
-    }
-    for (std::size_t c = 0; c < chains.size(); ++c) {
-      if (targets[c].empty()) continue;
-      if (infos[c].classic) {
-        for (const auto& [local, slot] : targets[c]) {
-          cands[slot] = lower_two_phase_candidate(
-              legacy_pop[c][local], c, infos[c].classic_layer, pes);
-        }
-      } else {
-        std::size_t counter = 0;
-        std::size_t next = 0;
-        walkers[c]->walk([&] {
-          if (next < targets[c].size() &&
-              counter == targets[c][next].first) {
-            cands[targets[c][next].second] = walkers[c]->materialize();
-            ++next;
-          }
-          ++counter;
-          return next < targets[c].size();
-        });
-      }
-    }
-    for (std::size_t e = 0; e < extras.size(); ++e) {
-      cands[sampled + e] = std::move(extras[e]);
-    }
+  for (std::size_t i = 0; i < sampled; ++i) {
+    const std::size_t g = capped ? stride_sample_index(i, total, sampled) : i;
+    const std::size_t c = static_cast<std::size_t>(
+        std::upper_bound(prefix.begin(), prefix.end(), g) - prefix.begin() -
+        1);
+    cands[i] = spaces[c]->decode(g - prefix[c]);
+  }
+  for (std::size_t e = 0; e < extras.size(); ++e) {
+    cands[sampled + e] = std::move(extras[e]);
   }
   span->arg("generated", result.generated);
   span->arg("selected", selected);
@@ -826,9 +466,9 @@ PipelineSearchResult search_pipeline_mappings(
   for (std::size_t i = 0; i < selected; ++i) {
     const ChainInfo& ci = infos[cands[i].chain_index];
     bool scatter = false;
-    const std::size_t n = std::min(cands[i].phases.size(), ci.n);
+    const std::size_t n = std::min(cands[i].phases.size(), ci.shape.phases.size());
     for (std::size_t p = 0; p < n && !scatter; ++p) {
-      if (ci.phases[p].engine == PhaseEngine::kDenseDense) continue;
+      if (ci.shape.phases[p].engine == PhaseEngine::kDenseDense) continue;
       const LoopOrder& order = cands[i].phases[p].order;
       scatter = order.contains(Dim::kV) && order.contains(Dim::kN) &&
                 order.depth_of(Dim::kV) > order.depth_of(Dim::kN);
@@ -879,18 +519,17 @@ PipelineSearchResult search_pipeline_mappings(
     span.reset();
   }
 
-  // One eval plan per chain, cached in the context; counters are cumulative
-  // across sweeps, so snapshot them for this sweep's share.
+  // One eval plan per chain, cached in the context and shared with any
+  // concurrent sweep; this sweep's term counters are the sums of its own
+  // blocks' tallies, never deltas of the plan-wide atomics.
   std::vector<std::shared_ptr<const PipelineEvalPlan>> plans(chains.size());
-  std::vector<std::uint64_t> requests0(chains.size(), 0);
-  std::vector<std::uint64_t> builds0(chains.size(), 0);
   if (options.eval_path != EvalPath::kScalar) {
     for (std::size_t c = 0; c < chains.size(); ++c) {
       plans[c] = PipelineEvalPlan::obtain(omega, workload, chains[c], context);
-      requests0[c] = plans[c]->term_requests();
-      builds0[c] = plans[c]->term_builds();
     }
   }
+  std::atomic<std::uint64_t> term_requests{0};
+  std::atomic<std::uint64_t> term_builds{0};
   std::atomic<std::uint64_t> delta_hits{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> batched_candidates{0};
@@ -959,7 +598,11 @@ PipelineSearchResult search_pipeline_mappings(
             }
           }
           for (const PipelineDeltaState& s : states) {
-            delta_hits.fetch_add(s.delta_hits, std::memory_order_relaxed);
+            term_requests.fetch_add(s.tally.requests,
+                                    std::memory_order_relaxed);
+            term_builds.fetch_add(s.tally.builds, std::memory_order_relaxed);
+            delta_hits.fetch_add(s.tally.delta_hits,
+                                 std::memory_order_relaxed);
           }
         },
         options.threads);
@@ -991,10 +634,8 @@ PipelineSearchResult search_pipeline_mappings(
   }
 
   if (options.eval_path != EvalPath::kScalar) {
-    for (std::size_t c = 0; c < chains.size(); ++c) {
-      result.eval.term_requests += plans[c]->term_requests() - requests0[c];
-      result.eval.term_builds += plans[c]->term_builds() - builds0[c];
-    }
+    result.eval.term_requests = term_requests.load(std::memory_order_relaxed);
+    result.eval.term_builds = term_builds.load(std::memory_order_relaxed);
     result.eval.delta_hits = delta_hits.load(std::memory_order_relaxed);
     result.eval.batches = batches.load(std::memory_order_relaxed);
     result.eval.batched_candidates =

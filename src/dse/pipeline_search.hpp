@@ -10,13 +10,17 @@
 // validate enforces, applied generatively so invalid combinations are never
 // materialized.
 //
+// Each chain's population is a CandidateSpace (dse/candidate_space.hpp):
+// counted, never walked, and decoded only at the stride-sampled indices, so
+// a capped search costs O(budget).
+//
 // Two-phase adapter contract: for a classic chain (one sparse-dense + one
-// dense phase), the candidate population is delegated to the legacy
-// two-phase enumerator and each descriptor is lowered through
-// two_phase_pipeline, so search_pipeline_mappings reproduces search_mappings
-// bit-identically (ranked + Pareto, including subsample, prune, and
-// tie-break behavior). search_mappings itself is now a thin adapter over
-// this function (tests/pipeline_dse_test.cpp pins the parity).
+// dense phase), the space decodes in the historic two-phase enumeration
+// order and each descriptor is lowered through two_phase_pipeline, so
+// search_pipeline_mappings reproduces search_mappings bit-identically
+// (ranked + Pareto, including subsample, prune, and tie-break behavior).
+// search_mappings itself is a thin adapter over this function
+// (tests/pipeline_dse_test.cpp pins the parity).
 //
 // Lossless pruning extends from cycles to energy/EDP: every candidate gets
 // a compulsory-work lower bound — the ideal-MAC cycle bound generalized
@@ -134,10 +138,11 @@ struct PipelineSearchResult {
 };
 
 /// Searches the pipeline mapping space of one or more chains on a workload.
-/// The population is the concatenation of the per-chain populations in
-/// chain order (classic two-phase chains delegate to the legacy enumerator;
-/// general chains run the N-phase walker). `shared_context`, when non-null,
-/// must be a WorkloadContext over `workload.adjacency`.
+/// The population is the concatenation of the per-chain CandidateSpaces in
+/// chain order. `shared_context`, when non-null, must be a WorkloadContext
+/// over `workload.adjacency`; concurrent searches may share it, and each
+/// reports only its own eval counters. Throws InvalidArgumentError if the
+/// population does not fit in size_t.
 [[nodiscard]] PipelineSearchResult search_pipeline_mappings(
     const Omega& omega, const GnnWorkload& workload,
     std::span<const PipelineChainSpec> chains,
@@ -183,9 +188,11 @@ struct PipelinePhaseWork {
 [[nodiscard]] double pipeline_energy_lower_bound(
     std::span<const PipelinePhaseWork> work, const EnergyModel& em);
 
-/// The full candidate population of one chain, in enumeration order —
-/// exactly what search_pipeline_mappings samples from. Exposed for tests
-/// and benchmarks. `chain_index` is stamped on every candidate.
+/// The full candidate population of one chain: its CandidateSpace decoded
+/// at every index, in the space's ordering contract — exactly what
+/// search_pipeline_mappings samples from. Exposed for tests and benchmarks
+/// (it materializes the whole space; searches decode only their sample).
+/// `chain_index` is stamped on every candidate.
 [[nodiscard]] std::vector<PipelineCandidate> enumerate_pipeline_candidates(
     const PipelineChainSpec& chain, std::size_t chain_index,
     const GnnWorkload& workload, std::size_t pes,

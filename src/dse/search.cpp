@@ -1,10 +1,9 @@
 #include "dse/search.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
-#include "dataflow/enumerate.hpp"
+#include "dse/candidate_space.hpp"
 #include "dse/pipeline_search.hpp"
 #include "util/error.hpp"
 
@@ -69,89 +68,32 @@ std::vector<std::array<std::size_t, 3>> enumerate_tile_triples(
 
 namespace {
 
-std::size_t cap_of(std::size_t extent) {
-  return std::max<std::size_t>(1, std::bit_ceil(std::max<std::size_t>(extent, 1)));
-}
-
-/// Generates bound descriptors for one (inter, order-pair) choice.
-void generate_for_pair(const SearchOptions& opt, const WorkloadDims& dims,
-                       std::size_t pes, InterPhase inter, PhaseOrder po,
-                       const LoopOrder& agg_order, const LoopOrder& cmb_order,
-                       std::vector<DataflowDescriptor>& out) {
-  const std::size_t agg_feat =
-      po == PhaseOrder::kAC ? dims.in_features : dims.out_features;
-  auto make = [&](const TileSizes& at, const TileSizes& ct, double frac) {
-    DataflowDescriptor df;
-    df.inter = inter;
-    df.phase_order = po;
-    df.pp_agg_pe_fraction = frac;
-    df.agg.phase = GnnPhase::kAggregation;
-    df.agg.order = agg_order;
-    df.agg.tiles = at;
-    df.cmb.phase = GnnPhase::kCombination;
-    df.cmb.order = cmb_order;
-    df.cmb.tiles = ct;
-    if (!df.validation_error()) out.push_back(df);
-  };
-
-  // PP splits the PE array between the phases, which needs at least one PE
-  // on each side; on a single-PE accelerator the clamp below would be
-  // clamp(x, 1, 0) — undefined behavior — so PP generation is skipped.
-  if (inter == InterPhase::kParallelPipeline && pes < 2) return;
-
-  const std::vector<double> fractions =
-      inter == InterPhase::kParallelPipeline ? opt.pp_fractions
-                                             : std::vector<double>{1.0};
-  for (const double frac : fractions) {
-    std::size_t pes_agg = pes;
-    std::size_t pes_cmb = pes;
-    if (inter == InterPhase::kParallelPipeline) {
-      pes_agg = std::clamp<std::size_t>(
-          static_cast<std::size_t>(static_cast<double>(pes) * frac), 1,
-          pes - 1);
-      pes_cmb = pes - pes_agg;
-    }
-    const auto agg_tilings = enumerate_tile_triples(
-        pes_agg, cap_of(dims.vertices),
-        cap_of(std::max<std::size_t>(dims.max_degree, 1)), cap_of(agg_feat),
-        opt.min_static_utilization);
-    if (inter == InterPhase::kSPOptimized) {
-      // Tiles tied across phases: T_N = 1, T_G = 1 (AC row-2 template).
-      for (const auto& [tv, tn, tf] : agg_tilings) {
-        if (tn != 1) continue;
-        TileSizes at;
-        at.v = tv;
-        at.n = 1;
-        at.f = tf;
-        TileSizes ct;
-        ct.v = tv;
-        ct.f = tf;
-        ct.g = 1;
-        make(at, ct, frac);
-      }
-      continue;
-    }
-    const auto cmb_tilings = enumerate_tile_triples(
-        pes_cmb, cap_of(dims.vertices), cap_of(dims.in_features),
-        cap_of(dims.out_features), opt.min_static_utilization);
-    for (const auto& [av, an, af] : agg_tilings) {
-      TileSizes at;
-      at.v = av;
-      at.n = an;
-      at.f = af;
-      for (const auto& [cv, cf, cg] : cmb_tilings) {
-        TileSizes ct;
-        ct.v = cv;
-        ct.f = cf;
-        ct.g = cg;
-        make(at, ct, frac);
-      }
-    }
-  }
-}
-
 std::uint64_t ceil_div_u64(std::uint64_t a, std::uint64_t b) {
   return b == 0 ? a : (a + b - 1) / b;
+}
+
+/// The pipeline-search options a two-phase search projects to (chains and
+/// extra candidates are the caller's to add).
+PipelineSearchOptions pipeline_options_of(const SearchOptions& options) {
+  PipelineSearchOptions popt;
+  popt.objective = options.objective;
+  popt.include_seq = options.include_seq;
+  popt.include_sp_generic = options.include_sp_generic;
+  popt.include_sp_optimized = options.include_sp_optimized;
+  popt.include_pp = options.include_pp;
+  popt.pp_fractions = options.pp_fractions;
+  popt.min_static_utilization = options.min_static_utilization;
+  popt.max_candidates = options.max_candidates;
+  popt.threads = options.threads;
+  popt.top_k = options.top_k;
+  // The legacy contract prunes the runtime objective only; the pipeline
+  // searcher prunes every objective, so gate here.
+  popt.prune = options.prune && options.objective == Objective::kRuntime;
+  popt.prune_seed = options.prune_seed;
+  popt.eval_path = options.eval_path;
+  popt.trace = options.trace;
+  popt.seed_table5 = false;
+  return popt;
 }
 
 }  // namespace
@@ -187,43 +129,14 @@ std::uint64_t ideal_mac_cycle_bound(const DataflowDescriptor& df,
 
 std::vector<DataflowDescriptor> enumerate_search_candidates(
     const SearchOptions& options, const WorkloadDims& dims, std::size_t pes) {
+  const PipelineSearchOptions popt = pipeline_options_of(options);
   std::vector<DataflowDescriptor> candidates;
-  std::vector<PhaseOrder> orders{PhaseOrder::kAC};
-  if (options.include_ca) orders.push_back(PhaseOrder::kCA);
-
-  for (const PhaseOrder po : orders) {
-    if (options.include_seq) {
-      for (const auto& ao : all_loop_orders(GnnPhase::kAggregation)) {
-        for (const auto& co : all_loop_orders(GnnPhase::kCombination)) {
-          generate_for_pair(options, dims, pes, InterPhase::kSequential, po,
-                            ao, co, candidates);
-        }
-      }
-    }
-    const auto pairs = feasible_pipeline_pairs(po);
-    for (const auto& pair : pairs) {
-      if (options.include_sp_generic) {
-        generate_for_pair(options, dims, pes, InterPhase::kSPGeneric, po,
-                          pair.agg, pair.cmb, candidates);
-      }
-      if (options.include_pp) {
-        generate_for_pair(options, dims, pes, InterPhase::kParallelPipeline,
-                          po, pair.agg, pair.cmb, candidates);
-      }
-    }
-    if (options.include_sp_optimized) {
-      const std::vector<std::pair<std::string, std::string>> templates =
-          po == PhaseOrder::kAC
-              ? std::vector<std::pair<std::string, std::string>>{{"VFN", "VFG"},
-                                                                 {"FVN", "FVG"}}
-              : std::vector<std::pair<std::string, std::string>>{{"NFV", "VGF"},
-                                                                 {"FNV", "GVF"}};
-      for (const auto& [a, c] : templates) {
-        generate_for_pair(options, dims, pes, InterPhase::kSPOptimized, po,
-                          LoopOrder::parse(a, GnnPhase::kAggregation),
-                          LoopOrder::parse(c, GnnPhase::kCombination),
-                          candidates);
-      }
+  for (const PhaseOrder po : {PhaseOrder::kAC, PhaseOrder::kCA}) {
+    if (po == PhaseOrder::kCA && !options.include_ca) break;
+    const CandidateSpace space(po, dims, pes, popt);
+    candidates.reserve(candidates.size() + space.size());
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      candidates.push_back(*space.decode(i).legacy);
     }
   }
   return candidates;
@@ -250,24 +163,7 @@ SearchResult search_mappings(const Omega& omega, const GnnWorkload& workload,
     chains.push_back(two_phase_chain(PhaseOrder::kCA, layer));
   }
 
-  PipelineSearchOptions popt;
-  popt.objective = options.objective;
-  popt.include_seq = options.include_seq;
-  popt.include_sp_generic = options.include_sp_generic;
-  popt.include_sp_optimized = options.include_sp_optimized;
-  popt.include_pp = options.include_pp;
-  popt.pp_fractions = options.pp_fractions;
-  popt.min_static_utilization = options.min_static_utilization;
-  popt.max_candidates = options.max_candidates;
-  popt.threads = options.threads;
-  popt.top_k = options.top_k;
-  // The legacy contract prunes the runtime objective only; the pipeline
-  // searcher prunes every objective, so gate here.
-  popt.prune = options.prune && options.objective == Objective::kRuntime;
-  popt.prune_seed = options.prune_seed;
-  popt.eval_path = options.eval_path;
-  popt.trace = options.trace;
-  popt.seed_table5 = false;
+  PipelineSearchOptions popt = pipeline_options_of(options);
   // CA extras without include_ca evaluate against a bind-only CA chain that
   // contributes no enumerated population.
   popt.enumerate_chains = options.include_ca ? 0 : 1;

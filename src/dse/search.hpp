@@ -36,9 +36,11 @@ enum class EvalPath : std::uint8_t {
 [[nodiscard]] const char* to_string(EvalPath p);
 
 /// Evaluation-core observability for one sweep (SearchResult::eval).
-/// term_requests/term_builds are deterministic for a given candidate set;
-/// delta_hits and the batch stats depend on the parallel block layout and
-/// therefore on the thread count / machine (report them, never golden them).
+/// term_requests/term_builds count this sweep's own lookups (concurrent
+/// sweeps on a shared context never count each other's) and are
+/// deterministic for a given candidate set and warm state; delta_hits and
+/// the batch stats depend on the parallel block layout and therefore on the
+/// thread count / machine (report them, never golden them).
 struct EvalStats {
   std::uint64_t term_requests = 0;  // phase-term lookups issued
   std::uint64_t term_builds = 0;    // lookups that ran a phase simulation
@@ -138,20 +140,26 @@ struct SearchResult {
                                                   std::uint64_t edges,
                                                   const WorkloadDims& dims);
 
-/// The candidate generator behind search_mappings: every valid descriptor
-/// for the enabled inter-phase strategies / phase orders / tilings, before
-/// subsampling. Exposed so benchmarks and tests can sweep the exact
-/// candidate population through their own evaluation harness.
+/// The population search_mappings samples: every candidate of the AC
+/// chain's CandidateSpace (then, with include_ca, the CA chain's), decoded
+/// in order — every valid descriptor for the enabled inter-phase strategies
+/// / phase orders / tilings. Exposed so benchmarks and tests can sweep the
+/// exact candidate population through their own evaluation harness.
 [[nodiscard]] std::vector<DataflowDescriptor> enumerate_search_candidates(
     const SearchOptions& options, const WorkloadDims& dims, std::size_t pes);
 
 /// Index of sample i in the deterministic stride subsample of `population`
 /// candidates down to `selected` (i < selected <= population). The single
 /// definition search_mappings and the sweep benchmarks share, so their
-/// sampled populations stay identical.
+/// sampled populations stay identical. The product is taken in 128 bits:
+/// spaces are counted, not walked, so `i * population` can pass 2^64.
 [[nodiscard]] constexpr std::size_t stride_sample_index(
     std::size_t i, std::size_t population, std::size_t selected) {
-  return selected == 0 ? 0 : i * population / selected;
+  __extension__ using Wide = unsigned __int128;
+  return selected == 0
+             ? 0
+             : static_cast<std::size_t>(static_cast<Wide>(i) * population /
+                                        selected);
 }
 
 /// All power-of-two tile triples (a, b, c) with a*b*c <= budget,

@@ -118,10 +118,11 @@ std::size_t term_timeline_footprint(ChunkTarget target,
 std::shared_ptr<const PhaseResult> TermStore::resolve(
     const EvalTermKey& key, Slot& slot,
     const std::function<std::shared_ptr<const PhaseResult>()>& build,
-    std::size_t timeline_bytes, std::uint64_t& delta_hits) const {
+    std::size_t timeline_bytes, Tally& tally) const {
   requests_.fetch_add(1, std::memory_order_relaxed);
+  ++tally.requests;
   if (slot.valid && slot.key == key) {
-    ++delta_hits;
+    ++tally.delta_hits;
     return slot.term;
   }
   std::shared_ptr<TermEntry> entry;
@@ -147,6 +148,7 @@ std::shared_ptr<const PhaseResult> TermStore::resolve(
   std::shared_ptr<const PhaseResult> term;
   if (overflow) {
     builds_.fetch_add(1, std::memory_order_relaxed);
+    ++tally.builds;
     try {
       term = build();
     } catch (const Error&) {
@@ -155,6 +157,7 @@ std::shared_ptr<const PhaseResult> TermStore::resolve(
   } else {
     call_once_caching(entry->once, entry->error, [&] {
       builds_.fetch_add(1, std::memory_order_relaxed);
+      ++tally.builds;
       try {
         entry->result = build();
       } catch (const Error&) {
@@ -568,7 +571,7 @@ std::shared_ptr<const PhaseResult> PipelineEvalPlan::resolve_phase(
         key_of(term.gemm), state.slots[phase_idx],
         [&] { return run_gemm_phase_shared(term.gemm); },
         term_timeline_footprint(term.gemm.chunk_target, term.gemm.chunks),
-        state.delta_hits);
+        state.tally);
   }
   EvalTermKey key = key_of(term.spmm);
   key.w[19] = term.graph_tag;  // which graph: adjacency vs a phase's W^T
@@ -576,7 +579,7 @@ std::shared_ptr<const PhaseResult> PipelineEvalPlan::resolve_phase(
       key, state.slots[phase_idx],
       [&] { return run_spmm_phase_shared(term.spmm); },
       term_timeline_footprint(term.spmm.chunk_target, term.spmm.chunks),
-      state.delta_hits);
+      state.tally);
 }
 
 EvalOutcome PipelineEvalPlan::compose(

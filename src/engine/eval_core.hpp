@@ -121,16 +121,25 @@ class TermStore {
     bool valid = false;
   };
 
+  /// One caller's share of the store counters: the store-wide atomics
+  /// count every caller, so concurrent sweeps over one store read their
+  /// own requests/builds here instead of diffing the atomics.
+  struct Tally {
+    std::uint64_t requests = 0;    // resolve calls
+    std::uint64_t builds = 0;      // calls that ran the phase simulation
+    std::uint64_t delta_hits = 0;  // calls served by the caller's L1 slot
+  };
+
   /// Resolves a term through (L1 slot -> map -> build). `timeline_bytes
   /// == 0` marks a small-grid term (always admitted, like the legacy
   /// engine memo); nonzero is the estimated footprint of a chunked term's
   /// timelines, admitted against kTermTimelineBudgetBytes. `slot` is the
-  /// caller's per-block L1 for this term position; `delta_hits` counts the
-  /// requests it served.
+  /// caller's per-block L1 for this term position; `tally` counts this
+  /// call into the caller's share.
   [[nodiscard]] std::shared_ptr<const PhaseResult> resolve(
       const EvalTermKey& key, Slot& slot,
       const std::function<std::shared_ptr<const PhaseResult>()>& build,
-      std::size_t timeline_bytes, std::uint64_t& delta_hits) const;
+      std::size_t timeline_bytes, Tally& tally) const;
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t requests() const {
@@ -167,7 +176,7 @@ class TermStore {
 /// block — never shared across threads.
 struct PipelineDeltaState {
   std::vector<TermStore::Slot> slots;  // sized to the plan's phase count
-  std::uint64_t delta_hits = 0;        // term requests served by a slot
+  TermStore::Tally tally;              // this state's term lookups
 
   struct Scratch;
   std::shared_ptr<Scratch> scratch;

@@ -114,7 +114,7 @@ std::uint64_t expect_batches_match(
     if (::testing::Test::HasFailure()) return 0;
   }
   std::uint64_t hits = 0;
-  for (const PipelineDeltaState& s : states) hits += s.delta_hits;
+  for (const PipelineDeltaState& s : states) hits += s.tally.delta_hits;
   return hits;
 }
 
