@@ -232,17 +232,12 @@ PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
     // Otherwise the partial sums stay live in the PE register files.
   };
 
-  const std::size_t c0 = loops[0].count;
-  const std::size_t c1 = loops[1].count;
-  const std::size_t c2 = loops[2].count;
-
-  // ---- Hot-nest precomputation -------------------------------------------
-  // This loop runs V*F*G / (tv*tf*tg) iterations per candidate — the hottest
-  // loop of a design-space sweep — so everything that only changes at tile
-  // boundaries is hoisted: actual tile sizes take two values per dim (full,
-  // last remainder), streaming costs take at most four values per operand,
-  // and the pipeline chunk index decomposes into precomputed per-dim
-  // contributions (no division inside the nest).
+  // ---- Nest precomputation ----------------------------------------------
+  // Everything that only changes at tile boundaries is hoisted out of the
+  // step: actual tile sizes take two values per dim (full, last remainder),
+  // streaming costs take at most four values per operand, and the pipeline
+  // chunk index decomposes into precomputed per-dim contributions, which
+  // the collapsed walk below also replays over.
   const std::size_t lv = cfg.order.depth_of(Dim::kV);
   const std::size_t lg = cfg.order.depth_of(Dim::kG);
   const std::size_t cv_cnt = loops[lv].count;
@@ -273,6 +268,7 @@ PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
   // Chunk index = row contribution (by V index) + column contribution (by F
   // index for kMatrixA, by G index for kMatrixOut); identical to
   // ChunkSpec::chunk_of with the divisions done once per extent.
+  const bool col_by_f = cfg.chunk_target == ChunkTarget::kMatrixA;
   std::vector<std::size_t> chunk_rowc;
   std::vector<std::size_t> chunk_colc;
   if (cfg.chunk_target != ChunkTarget::kNone) {
@@ -287,7 +283,6 @@ PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
     for (std::size_t i = 0; i < cv_cnt; ++i) {
       chunk_rowc[i] = (rb == 0 ? 0 : i * av_full / rb) * row_stride;
     }
-    const bool col_by_f = cfg.chunk_target == ChunkTarget::kMatrixA;
     const std::size_t col_cnt = col_by_f ? c_f : cg_cnt;
     const std::size_t col_tile = col_by_f ? af_full : ag_full;
     chunk_colc.resize(col_cnt);
@@ -296,13 +291,39 @@ PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
     }
   }
 
+  // Chunk touches of the sub-nest being recorded by the walk below, with
+  // adjacent touches of one chunk merged — but never into an entry under
+  // `merge_floor` (the start of the segment being recorded, or the end of
+  // the one being replayed, whose entries must stay as logged).
+  struct Touch {
+    std::size_t chunk;
+    std::uint64_t cycles;
+    std::uint64_t completion;
+  };
+  std::vector<Touch> touch_log;
+  std::size_t merge_floor = 0;
+  int recording = 0;
+  const auto touch = [&](std::size_t chunk, std::uint64_t cycles,
+                         std::uint64_t completion) {
+    r.chunk_cycles[chunk] = sat_add_u64(r.chunk_cycles[chunk], cycles);
+    r.chunk_completion[chunk] = completion;  // last contribution wins
+    last_chunk_touched = chunk;
+    if (recording == 0) return;
+    if (touch_log.size() > merge_floor && touch_log.back().chunk == chunk) {
+      touch_log.back().cycles = sat_add_u64(touch_log.back().cycles, cycles);
+      touch_log.back().completion = completion;
+    } else {
+      touch_log.push_back({chunk, cycles, completion});
+    }
+  };
+
   // Per-level roles: which loop counter feeds V / F / G.
   std::size_t cur_idx[3] = {0, 0, 0};
 
-  const auto exec_step = [&](std::size_t i0, std::size_t i1, std::size_t i2) {
-        cur_idx[0] = i0;
-        cur_idx[1] = i1;
-        cur_idx[2] = i2;
+  const auto exec_step = [&] {
+        const std::size_t i0 = cur_idx[0];
+        const std::size_t i1 = cur_idx[1];
+        const std::size_t i2 = cur_idx[2];
         const std::size_t iv = cur_idx[lv];
         const std::size_t f_idx = cur_idx[f_depth];
         const std::size_t ig = cur_idx[lg];
@@ -396,36 +417,36 @@ PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
         const std::uint64_t total_step = step + serial;
         r.cycles = sat_add_u64(r.cycles, total_step);
 
-        if (cfg.chunk_target != ChunkTarget::kNone) {
-          const std::size_t chunk =
-              chunk_rowc[iv] +
-              chunk_colc[cfg.chunk_target == ChunkTarget::kMatrixA ? f_idx
-                                                                   : ig];
-          r.chunk_cycles[chunk] = sat_add_u64(r.chunk_cycles[chunk], total_step);
-          r.chunk_completion[chunk] = r.cycles;  // last contribution wins
-          last_chunk_touched = chunk;
-        } else {
-          r.chunk_cycles[0] = sat_add_u64(r.chunk_cycles[0], total_step);
-          r.chunk_completion[0] = r.cycles;
-          last_chunk_touched = 0;
-        }
+        touch(cfg.chunk_target == ChunkTarget::kNone
+                  ? 0
+                  : chunk_rowc[iv] + chunk_colc[col_by_f ? f_idx : ig],
+              total_step, r.cycles);
   };
 
-  // Uniform-walk collapse. Along the deepest loop level whose inner levels
-  // are all trivial (count 1), every "middle" step — neither the fresh
-  // entry at index 0 nor the possibly-partial last tile — is exactly
-  // uniform: full tiles, the same `changed` level (hence the same
-  // stationary reloads), and identical flush/psum charges. Execute one
-  // representative middle step through the normal path, then replay its
-  // accumulator deltas arithmetically; the collapse is exact by
-  // construction and turns the V*F*G/PE-size nest into
-  // O(outer counts * chunk-runs). Only the pipeline chunk binning needs
-  // per-run attention: the walked dim's chunk contribution advances in
-  // plateaus of the precomputed arrays.
-  const auto walk_with_collapse = [&](std::size_t walk_level, std::size_t cw,
-                                      auto&& exec_at) {
-    exec_at(0);
-    if (cw >= 3) {
+  // Uniform-walk collapse at every loop level. Under a level with count c,
+  // the sub-nests of the middle indices 1..c-2 are identical: the walked dim
+  // has a full tile, every such sub-nest enters at the same freshness level
+  // (hence the same stationary reloads), and the flush/psum state it
+  // inherits from its predecessor is the same. They differ only by a cycle
+  // offset and by the walked dim's chunk contribution. So the walk runs
+  // index 0, records index 1 (its scalar deltas and its log of chunk
+  // touches), replays indices 2..c-2 arithmetically over plateaus of the
+  // walked dim's precomputed chunk contribution, and runs index c-1
+  // normally. The collapse is exact by construction (it replays what the
+  // real code path produced), and recursing into every level executes at
+  // most 27 steps of the V*F*G/tile nest; the rest is chunk replay.
+  const auto walk = [&](auto&& self, std::size_t level) -> void {
+    if (level == 3) {
+      exec_step();
+      return;
+    }
+    const std::size_t c = loops[level].count;
+    const auto run = [&](std::size_t j) {
+      cur_idx[level] = j;
+      self(self, level + 1);
+    };
+    run(0);
+    if (c >= 3) {
       const std::uint64_t s_cycles = r.cycles;
       const std::uint64_t s_issue = r.issue_steps;
       const std::uint64_t s_load = r.load_cycles;
@@ -435,64 +456,50 @@ PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
       const std::uint64_t s_active = r.active_pe_cycles;
       const TrafficCounters s_traffic = r.traffic;
 
-      exec_at(1);  // representative middle step
+      const std::size_t seg_begin = touch_log.size();
+      const std::size_t outer_floor = merge_floor;
+      merge_floor = seg_begin;
+      ++recording;
+      run(1);  // representative middle sub-nest
+      --recording;
+      const std::size_t seg_end = touch_log.size();
 
-      const std::size_t mid_end = cw - 2;      // last middle index
-      const std::uint64_t reps = mid_end - 1;  // walked steps 2 .. mid_end
+      const std::size_t mid_end = c - 2;       // last middle index
+      const std::uint64_t reps = mid_end - 1;  // replayed indices 2 .. mid_end
       if (reps > 0) {
-        const std::uint64_t step_cycles = r.cycles - s_cycles;
-        const std::uint64_t walked = sat_mul_u64(reps, step_cycles);
-        const Dim walk_dim = loops[walk_level].dim;
-
-        // Chunk binning for the replayed steps.
-        const std::uint64_t base_cycles = r.cycles;  // after walked step 1
+        const std::uint64_t period = r.cycles - s_cycles;
+        const Dim dim = loops[level].dim;
+        const std::size_t* varying = nullptr;
         if (cfg.chunk_target != ChunkTarget::kNone) {
-          const bool col_by_f = cfg.chunk_target == ChunkTarget::kMatrixA;
-          const std::size_t col_idx =
-              col_by_f ? cur_idx[f_depth] : cur_idx[lg];
-          const std::size_t* varying = nullptr;
-          std::size_t fixed_contrib = 0;
-          if (walk_dim == Dim::kV) {
-            varying = chunk_rowc.data();
-            fixed_contrib = chunk_colc[col_idx];
-          } else if (col_by_f ? walk_dim == Dim::kF : walk_dim == Dim::kG) {
+          if (dim == Dim::kV) varying = chunk_rowc.data();
+          if (dim == (col_by_f ? Dim::kF : Dim::kG)) {
             varying = chunk_colc.data();
-            fixed_contrib = chunk_rowc[cur_idx[lv]];
-          } else {
-            fixed_contrib = chunk_rowc[cur_idx[lv]] + chunk_colc[col_idx];
           }
-          if (varying == nullptr) {
-            r.chunk_cycles[fixed_contrib] =
-                sat_add_u64(r.chunk_cycles[fixed_contrib], walked);
-            r.chunk_completion[fixed_contrib] =
-                sat_add_u64(base_cycles, walked);
-            last_chunk_touched = fixed_contrib;
-          } else {
-            std::size_t s = 2;
-            while (s <= mid_end) {
-              const std::size_t contrib = varying[s];
-              std::size_t e = s;
-              while (e + 1 <= mid_end && varying[e + 1] == contrib) ++e;
-              const std::size_t chunk = fixed_contrib + contrib;
-              r.chunk_cycles[chunk] = sat_add_u64(
-                  r.chunk_cycles[chunk],
-                  sat_mul_u64(static_cast<std::uint64_t>(e - s + 1),
-                              step_cycles));
-              r.chunk_completion[chunk] = sat_add_u64(
-                  base_cycles,
-                  sat_mul_u64(static_cast<std::uint64_t>(e - 1), step_cycles));
-              last_chunk_touched = chunk;
-              s = e + 1;
-            }
+        }
+        // Index j shifts each logged chunk by varying[j] - varying[1] and
+        // each completion by (j-1) * period; a plateau [s, e] of equal
+        // contribution lands as one touch per log entry, completing at e.
+        merge_floor = seg_end;
+        for (std::size_t s = 2; s <= mid_end;) {
+          std::size_t e = mid_end;
+          if (varying != nullptr) {
+            e = s;
+            while (e < mid_end && varying[e + 1] == varying[s]) ++e;
           }
-        } else {
-          r.chunk_cycles[0] = sat_add_u64(r.chunk_cycles[0], walked);
-          r.chunk_completion[0] = sat_add_u64(base_cycles, walked);
-          last_chunk_touched = 0;
+          const std::size_t shift =
+              varying == nullptr ? 0 : varying[s] - varying[1];
+          const std::uint64_t n = e - s + 1;
+          const std::uint64_t offset = sat_mul_u64(e - 1, period);
+          for (std::size_t i = seg_begin; i < seg_end; ++i) {
+            const Touch t = touch_log[i];
+            touch(t.chunk + shift, sat_mul_u64(n, t.cycles),
+                  sat_add_u64(t.completion, offset));
+          }
+          s = e + 1;
         }
 
-        // Replay the scalar deltas of the representative step.
-        r.cycles = sat_add_u64(r.cycles, walked);
+        // Replay the scalar deltas of the representative sub-nest.
+        r.cycles = sat_add_u64(r.cycles, sat_mul_u64(reps, period));
         r.issue_steps += reps * (r.issue_steps - s_issue);
         r.load_cycles = sat_add_u64(
             r.load_cycles, sat_mul_u64(reps, r.load_cycles - s_load));
@@ -509,40 +516,24 @@ PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
           cur.reads += reps * (cur.reads - before.reads);
           cur.writes += reps * (cur.writes - before.writes);
         };
-        for (std::size_t c = 0; c < kNumTrafficCategories; ++c) {
-          replay(r.traffic.gb[c], s_traffic.gb[c]);
+        for (std::size_t k = 0; k < kNumTrafficCategories; ++k) {
+          replay(r.traffic.gb[k], s_traffic.gb[k]);
         }
         replay(r.traffic.rf, s_traffic.rf);
         replay(r.traffic.dram, s_traffic.dram);
         replay(r.traffic.intermediate_partition,
                s_traffic.intermediate_partition);
-
-        // Output-visit state as if the walk stood at mid_end: only the
-        // walked dim's coordinate moved (the visit size and finality are
-        // middle-uniform).
-        if (walk_dim == Dim::kV) prev_iv = mid_end;
-        if (walk_dim == Dim::kG) prev_ig = mid_end;
+        // The output-visit state stays as index 1 left it: its size and
+        // finality are middle-uniform, and its coordinates differ from
+        // mid_end's only in the walked dim, where the next step (entering
+        // index c-1) differs from both.
       }
+      merge_floor = outer_floor;
+      if (recording == 0) touch_log.clear();
     }
-    if (cw >= 2) exec_at(cw - 1);
+    if (c >= 2) run(c - 1);
   };
-
-  if (c1 == 1 && c2 == 1) {
-    walk_with_collapse(0, c0,
-                       [&](std::size_t j) { exec_step(j, 0, 0); });
-  } else if (c2 == 1) {
-    for (std::size_t i0 = 0; i0 < c0; ++i0) {
-      walk_with_collapse(1, c1,
-                         [&](std::size_t j) { exec_step(i0, j, 0); });
-    }
-  } else {
-    for (std::size_t i0 = 0; i0 < c0; ++i0) {
-      for (std::size_t i1 = 0; i1 < c1; ++i1) {
-        walk_with_collapse(2, c2,
-                           [&](std::size_t j) { exec_step(i0, i1, j); });
-      }
-    }
-  }
+  walk(walk, 0);
   std::uint64_t tail = 0;
   flush_out_visit(&tail);
   r.cycles = sat_add_u64(r.cycles, tail);

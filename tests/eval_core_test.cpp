@@ -10,12 +10,14 @@
 //    AC or CA chain exactly as search_mappings lowers them, against
 //    Omega::run;
 //  * 3-phase GAT-style bindings (gemm -> spmm -> spgemm) against
-//    Omega::run_pipeline.
+//    Omega::run_pipeline, plus 3-phase bindings built around one
+//    SP-Optimized boundary (gemm -> spmm and spmm -> gemm handoffs).
 // Each population is evaluated at block sizes 1 and 257, reusing one state
 // per chain throughout, so stale slots from an earlier block can never leak
 // into the next.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <random>
 #include <span>
@@ -259,6 +261,20 @@ TEST(EvalCoreFuzz, SpOptimizedNeighborhoodsMatchScalarOracle) {
   EXPECT_GT(v.infeasible, 0u);
 }
 
+/// The GAT-style 3-phase chain: gemm -> spmm -> spgemm.
+PipelineChainSpec gat_chain() {
+  PipelineChainSpec chain;
+  chain.phases = {{.name = "score",
+                   .engine = PhaseEngine::kDenseDense,
+                   .out_features = 16},
+                  {.name = "agg", .engine = PhaseEngine::kSparseDense},
+                  {.name = "xform",
+                   .engine = PhaseEngine::kSparseSparse,
+                   .out_features = 8,
+                   .weight_density = 0.5}};
+  return chain;
+}
+
 /// Mutates exactly one binding field of an N-phase candidate: one
 /// boundary's strategy, one PE fraction, one tile of one phase, or one
 /// phase's loop order. Mutants may be invalid; both sides must then agree
@@ -308,15 +324,7 @@ TEST(EvalCoreFuzz, PipelineBindingMutationsMatchRunPipeline) {
   hw.gb_bytes = 4096;
   const Omega omega(hw);
   const WorkloadContext context(w.adjacency);
-  PipelineChainSpec chain;
-  chain.phases = {{.name = "score",
-                   .engine = PhaseEngine::kDenseDense,
-                   .out_features = 16},
-                  {.name = "agg", .engine = PhaseEngine::kSparseDense},
-                  {.name = "xform",
-                   .engine = PhaseEngine::kSparseSparse,
-                   .out_features = 8,
-                   .weight_density = 0.5}};
+  const PipelineChainSpec chain = gat_chain();
 
   // Base bindings: the feasible part of a deterministic stride subsample of
   // the chain's population (all of it is ~2M bindings), evaluated by the
@@ -359,6 +367,130 @@ TEST(EvalCoreFuzz, PipelineBindingMutationsMatchRunPipeline) {
     ASSERT_FALSE(HasFailure());
   }
   EXPECT_GT(plans[0]->term_requests(), 0u);
+}
+
+/// Feasible bindings of `chain` with one SP-Optimized boundary each, built
+/// to satisfy sp_optimized_pair_ok: the producer's contraction and the
+/// consumer's third dim innermost and temporal (tile 1), one major on both
+/// sides, and the consumer's row/col tiles equal to the producer's. The
+/// other boundaries are Seq and the other phases take a random order and
+/// tiling; every tiling is powers of two within `pes`. Sparse-weight phases
+/// never consume over SP-Optimized: their third dim G would have to follow
+/// F, an order they reject.
+std::vector<PipelineCandidate> sp_optimized_bases(
+    const Omega& omega, const GnnWorkload& w, const PipelineChainSpec& chain,
+    const WorkloadContext& context, std::size_t count, std::mt19937& rng) {
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const std::size_t pes = omega.config().num_pes;
+  const auto pow2_within = [&](std::size_t room) {
+    std::size_t t = std::size_t{1} << pick(4);
+    while (t > room) t /= 2;
+    return t;
+  };
+  std::vector<std::size_t> spo_boundaries;
+  for (std::size_t b = 0; b + 1 < chain.phases.size(); ++b) {
+    if (chain.phases[b + 1].engine != PhaseEngine::kSparseSparse) {
+      spo_boundaries.push_back(b);
+    }
+  }
+  std::vector<PipelineCandidate> bases;
+  for (std::size_t attempt = 0; bases.size() < count && attempt < 8 * count;
+       ++attempt) {
+    PipelineCandidate c;
+    c.boundaries.assign(chain.phases.size() - 1, InterPhase::kSequential);
+    for (const PhaseChainSpec& p : chain.phases) {
+      IntraPhaseDataflow df;
+      df.phase = taxonomy_phase(p.engine);
+      std::array<Dim, 3> dims = df.phase == GnnPhase::kAggregation
+                                    ? std::array{Dim::kV, Dim::kN, Dim::kF}
+                                    : std::array{Dim::kV, Dim::kF, Dim::kG};
+      std::shuffle(dims.begin(), dims.end(), rng);
+      if (p.engine == PhaseEngine::kSparseSparse) {
+        // Sparse-weight phases walk W^T G-major: G before F.
+        const auto g = std::find(dims.begin(), dims.end(), Dim::kG);
+        const auto f = std::find(dims.begin(), dims.end(), Dim::kF);
+        if (g > f) std::iter_swap(g, f);
+      }
+      df.order = LoopOrder(dims[0], dims[1], dims[2]);
+      std::size_t room = pes;
+      for (const Dim d : dims) {
+        df.tiles.set(d, pow2_within(room));
+        room /= df.tiles.get(d);
+      }
+      c.phases.push_back(df);
+    }
+    const std::size_t b = spo_boundaries[pick(spo_boundaries.size())];
+    c.boundaries[b] = InterPhase::kSPOptimized;
+    const PhaseEngine pe = chain.phases[b].engine;
+    const PhaseEngine ce = chain.phases[b + 1].engine;
+    const HandoffRole p = phase_producer_role(pe, LoopOrder());
+    const HandoffRole q = phase_consumer_role(ce, LoopOrder());
+    const bool row_major = pick(2) == 0;
+    IntraPhaseDataflow& prod = c.phases[b];
+    IntraPhaseDataflow& cons = c.phases[b + 1];
+    prod.order = row_major ? LoopOrder(p.row, p.col, p.third)
+                           : LoopOrder(p.col, p.row, p.third);
+    cons.order = row_major ? LoopOrder(q.row, q.col, q.third)
+                           : LoopOrder(q.col, q.row, q.third);
+    const std::size_t t_row = pow2_within(pes);
+    const std::size_t t_col = pow2_within(pes / t_row);
+    prod.tiles = TileSizes{};
+    prod.tiles.set(p.row, t_row);
+    prod.tiles.set(p.col, t_col);
+    cons.tiles = TileSizes{};
+    cons.tiles.set(q.row, t_row);
+    cons.tiles.set(q.col, t_col);
+    EXPECT_TRUE(sp_optimized_pair_ok(pe, prod, ce, cons));
+    if (pipeline_oracle(omega, w, chain, c, context).ok) bases.push_back(c);
+  }
+  return bases;
+}
+
+TEST(EvalCoreFuzz, SpOptimizedPipelineBindingsMatchRunPipeline) {
+  // 3-phase bindings whose SP-Optimized boundary hands the intermediate
+  // over in the PE register files, each way a chain can: gemm -> spmm (the
+  // spmm consumer's b_from_rf) and spmm -> gemm (the gemm consumer's
+  // a_from_rf), next to gemm and spmm producers' out_to_rf. Sampled
+  // populations almost never contain a feasible one.
+  const GnnWorkload w = fuzz_workload();
+  const Omega omega(small_hw());
+  const WorkloadContext context(w.adjacency);
+  PipelineChainSpec two_hop;
+  two_hop.phases = {{.name = "agg", .engine = PhaseEngine::kSparseDense},
+                    {.name = "cmb",
+                     .engine = PhaseEngine::kDenseDense,
+                     .out_features = 16},
+                    {.name = "agg2", .engine = PhaseEngine::kSparseDense}};
+
+  std::mt19937 rng(20240807);
+  for (const PipelineChainSpec& chain : {gat_chain(), two_hop}) {
+    SCOPED_TRACE(chain.to_string());
+    const std::vector<PipelineCandidate> bases =
+        sp_optimized_bases(omega, w, chain, context, 300, rng);
+    ASSERT_EQ(bases.size(), 300u);
+    const std::array<std::shared_ptr<const PipelineEvalPlan>, 1> plans = {
+        PipelineEvalPlan::obtain(omega, w, chain, context)};
+    std::vector<PipelineCandidate> cands;
+    std::vector<EvalOutcome> expected;
+    std::size_t infeasible = 0;
+    for (const PipelineCandidate& b : bases) {
+      cands.push_back(b);
+      expected.push_back(pipeline_oracle(omega, w, chain, b, context));
+      for (int k = 0; k < 3; ++k) {
+        cands.push_back(mutate_one_binding_field(b, rng));
+        expected.push_back(
+            pipeline_oracle(omega, w, chain, cands.back(), context));
+        infeasible += expected.back().ok ? 0 : 1;
+      }
+    }
+    EXPECT_GT(infeasible, 0u);
+    for (const std::size_t block : {std::size_t{1}, std::size_t{257}}) {
+      (void)expect_batches_match(plans, cands, expected, block);
+      ASSERT_FALSE(HasFailure());
+    }
+  }
 }
 
 TEST(EvalCoreFuzz, PlanIsCachedPerContextSignature) {
