@@ -95,6 +95,99 @@ bool pipeline_candidate_order(const RankedPipelineCandidate& a,
   return a.key < b.key;
 }
 
+PipelineRanking rank_pipeline_candidates(
+    std::span<const PipelineCandidate> cands,
+    std::span<const EvalOutcome> outcomes, Objective objective,
+    std::size_t top_k) {
+  OMEGA_CHECK(cands.size() == outcomes.size(),
+              "rank_pipeline_candidates: one outcome per candidate");
+  // Compact metric rows; the index is the last tie-break, so every sort
+  // below is a total order and needs no key until metrics tie.
+  struct Row {
+    double score;
+    std::uint64_t cycles;
+    double pj;
+    std::size_t index;
+  };
+  std::vector<Row> rows;
+  rows.reserve(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const EvalOutcome& o = outcomes[i];
+    if (!o.ok) continue;
+    rows.push_back(
+        {score_of(objective, o.cycles, o.on_chip_pj), o.cycles,
+         o.on_chip_pj, i});
+  }
+  PipelineRanking out;
+  out.evaluated = rows.size();
+
+  std::vector<std::string> keys(cands.size());  // "" = not built yet
+  const auto key = [&](std::size_t i) -> const std::string& {
+    if (keys[i].empty()) {
+      keys[i] = cands[i].key();
+      ++out.keys_built;
+    }
+    return keys[i];
+  };
+  const auto by_key = [&](const Row& a, const Row& b) {
+    const int c = key(a.index).compare(key(b.index));
+    return c != 0 ? c < 0 : a.index < b.index;
+  };
+  const auto entry = [&](const Row& r) {
+    RankedPipelineCandidate rc;
+    rc.candidate = cands[r.index];
+    rc.key = key(r.index);
+    rc.cycles = r.cycles;
+    rc.on_chip_pj = r.pj;
+    rc.score = r.score;
+    return rc;
+  };
+
+  // Ranked: walk the (score, cycles, pj) groups best first; only a group
+  // with several rows needs keys, to order it and to drop the copies.
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.score != b.score) return a.score < b.score;
+    if (a.cycles != b.cycles) return a.cycles < b.cycles;
+    if (a.pj != b.pj) return a.pj < b.pj;
+    return a.index < b.index;
+  });
+  for (auto g = rows.begin(); g != rows.end() && out.ranked.size() < top_k;) {
+    auto e = g + 1;
+    while (e != rows.end() && e->score == g->score && e->cycles == g->cycles &&
+           e->pj == g->pj) {
+      ++e;
+    }
+    if (e - g > 1) std::sort(g, e, by_key);
+    for (auto r = g; r != e && out.ranked.size() < top_k; ++r) {
+      if (r != g && key(r->index) == key((r - 1)->index)) continue;
+      out.ranked.push_back(entry(*r));
+    }
+    g = e;
+  }
+
+  // Pareto frontier over (cycles, energy): per cycles value the least pj
+  // sorts first; when it improves the frontier, the least key among the
+  // rows tied on that pj represents it (deterministic across platforms).
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.cycles != b.cycles) return a.cycles < b.cycles;
+    if (a.pj != b.pj) return a.pj < b.pj;
+    return a.index < b.index;
+  });
+  double best_energy = std::numeric_limits<double>::infinity();
+  for (auto g = rows.begin(); g != rows.end();) {
+    auto e = g + 1;
+    while (e != rows.end() && e->cycles == g->cycles) ++e;
+    if (g->pj < best_energy) {
+      best_energy = g->pj;
+      auto t = g + 1;
+      while (t != e && t->pj == g->pj) ++t;
+      out.pareto.push_back(entry(*std::min_element(g, t, by_key)));
+    }
+    g = e;
+  }
+  return out;
+}
+
 const RankedPipelineCandidate& PipelineSearchResult::best() const {
   OMEGA_CHECK(!ranked.empty(), "pipeline search produced no feasible mapping");
   return ranked.front();
@@ -535,12 +628,7 @@ PipelineSearchResult search_pipeline_mappings(
   std::atomic<std::uint64_t> batched_candidates{0};
   std::atomic<std::uint64_t> max_batch{0};
 
-  struct Metrics {
-    std::uint64_t cycles = 0;
-    double pj = 0.0;
-  };
-  std::vector<Metrics> metrics(selected);
-  std::vector<char> ok(selected, 0);
+  std::vector<EvalOutcome> outcomes(selected);
   const auto evaluate_range = [&](std::size_t from, std::size_t to) {
     parallel_blocks(
         to - from,
@@ -553,10 +641,9 @@ PipelineSearchResult search_pipeline_mappings(
                     chains[cands[i].chain_index].bind(cands[i].view());
                 const PipelineResult r =
                     omega.run_pipeline(workload, spec, &context);
-                metrics[i] = {r.cycles, r.energy.on_chip_pj()};
-                ok[i] = 1;
+                outcomes[i] = {r.cycles, r.energy.on_chip_pj(), true};
               } catch (const Error&) {
-                ok[i] = 0;  // infeasible under this substrate; skip
+                // Infeasible under this substrate; the outcome stays !ok.
               }
             }
             return;
@@ -584,11 +671,7 @@ PipelineSearchResult search_pipeline_mappings(
             plans[c]->evaluate_batch({views.data(), m}, outs.data(),
                                      states[c]);
             for (std::size_t k = 0; k < m; ++k) {
-              const std::size_t i = eval_order[from + run_begin + k];
-              if (outs[k].ok) {
-                metrics[i] = {outs[k].cycles, outs[k].on_chip_pj};
-                ok[i] = 1;
-              }
+              outcomes[eval_order[from + run_begin + k]] = outs[k];
             }
             batches.fetch_add(1, std::memory_order_relaxed);
             batched_candidates.fetch_add(m, std::memory_order_relaxed);
@@ -620,11 +703,11 @@ PipelineSearchResult search_pipeline_mappings(
     evaluate_range(0, seed);
     double incumbent = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < seed; ++j) {
-      const std::size_t i = eval_order[j];
-      if (ok[i]) {
-        incumbent = std::min(
-            incumbent,
-            score_of(options.objective, metrics[i].cycles, metrics[i].pj));
+      const EvalOutcome& o = outcomes[eval_order[j]];
+      if (o.ok) {
+        incumbent =
+            std::min(incumbent, score_of(options.objective, o.cycles,
+                                         o.on_chip_pj));
       }
     }
     std::size_t keep = seed;
@@ -644,60 +727,20 @@ PipelineSearchResult search_pipeline_mappings(
   }
   span->arg("pruned", result.pruned);
   span->arg("term_builds", result.eval.term_builds);
+  // Term requests that missed the per-block L1 slot and went to the store.
+  span->arg("map_lookups",
+            result.eval.term_requests - result.eval.delta_hits);
   span.reset();
 
   span.emplace(options.trace, "rank", "dse");
-  std::vector<RankedPipelineCandidate> valid;
-  valid.reserve(selected);
-  for (std::size_t i = 0; i < selected; ++i) {
-    if (!ok[i]) continue;
-    RankedPipelineCandidate rc;
-    rc.key = cands[i].key();
-    rc.cycles = metrics[i].cycles;
-    rc.on_chip_pj = metrics[i].pj;
-    rc.score = score_of(options.objective, rc.cycles, rc.on_chip_pj);
-    rc.candidate = std::move(cands[i]);
-    valid.push_back(std::move(rc));
-  }
-  result.evaluated = valid.size();
-
-  std::sort(valid.begin(), valid.end(), pipeline_candidate_order);
-  // An extra/seed may duplicate a sampled candidate; identical bindings
-  // produce identical metrics and sort adjacent, so one unique pass drops
-  // the copies from the ranked list and the frontier.
-  valid.erase(
-      std::unique(valid.begin(), valid.end(),
-                  [](const RankedPipelineCandidate& a,
-                     const RankedPipelineCandidate& b) {
-                    return a.cycles == b.cycles &&
-                           a.on_chip_pj == b.on_chip_pj && a.key == b.key;
-                  }),
-      valid.end());
-
-  // Pareto frontier over (cycles, energy); key tie-break keeps the frontier
-  // representative deterministic across platforms.
-  std::vector<RankedPipelineCandidate> by_cycles = valid;
-  std::sort(by_cycles.begin(), by_cycles.end(),
-            [](const RankedPipelineCandidate& a,
-               const RankedPipelineCandidate& b) {
-              if (a.cycles != b.cycles) return a.cycles < b.cycles;
-              if (a.on_chip_pj != b.on_chip_pj) {
-                return a.on_chip_pj < b.on_chip_pj;
-              }
-              return a.key < b.key;
-            });
-  double best_energy = std::numeric_limits<double>::infinity();
-  for (const RankedPipelineCandidate& c : by_cycles) {
-    if (c.on_chip_pj < best_energy) {
-      best_energy = c.on_chip_pj;
-      result.pareto.push_back(c);
-    }
-  }
-
-  if (valid.size() > options.top_k) valid.resize(options.top_k);
-  result.ranked = std::move(valid);
+  PipelineRanking ranking = rank_pipeline_candidates(
+      cands, outcomes, options.objective, options.top_k);
+  result.ranked = std::move(ranking.ranked);
+  result.pareto = std::move(ranking.pareto);
+  result.evaluated = ranking.evaluated;
   span->arg("evaluated", result.evaluated);
   span->arg("pareto", result.pareto.size());
+  span->arg("keys_built", ranking.keys_built);
   return result;
 }
 

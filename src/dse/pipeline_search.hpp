@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "dse/search.hpp"
+#include "engine/eval_core.hpp"
 #include "omega/pipeline.hpp"
 
 namespace omega {
@@ -148,6 +149,29 @@ struct PipelineSearchResult {
     std::span<const PipelineChainSpec> chains,
     const PipelineSearchOptions& options = {},
     const WorkloadContext* shared_context = nullptr);
+
+/// The rank stage of a search: `outcomes[i]` is the evaluation of
+/// `cands[i]`. Ranks the feasible candidates by pipeline_candidate_order,
+/// drops copies (equal cycles, energy and key — an extra or seed may
+/// duplicate a sampled candidate), keeps the first `top_k`, and builds the
+/// cycles-ascending (cycles, energy) Pareto frontier over the same
+/// deduplicated set, each frontier point the least key among its ties.
+/// `evaluated` counts the feasible candidates before deduplication.
+///
+/// Cost contract: the ranking sorts compact metric rows, builds a key only
+/// for a row tied on (score, cycles, energy) with another row it must be
+/// ordered against, or for a returned entry, and copies a candidate only
+/// into the returned entries. `keys_built` counts the keys it built.
+struct PipelineRanking {
+  std::vector<RankedPipelineCandidate> ranked;
+  std::vector<RankedPipelineCandidate> pareto;
+  std::size_t evaluated = 0;
+  std::size_t keys_built = 0;
+};
+[[nodiscard]] PipelineRanking rank_pipeline_candidates(
+    std::span<const PipelineCandidate> cands,
+    std::span<const EvalOutcome> outcomes, Objective objective,
+    std::size_t top_k);
 
 /// Single-chain convenience overload.
 [[nodiscard]] PipelineSearchResult search_pipeline_mappings(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "dataflow/descriptor.hpp"
 #include "omega/pipeline.hpp"
@@ -125,24 +126,25 @@ std::shared_ptr<const PhaseResult> TermStore::resolve(
     ++tally.delta_hits;
     return slot.term;
   }
+  // High hash bits pick the shard; the map buckets on the whole hash.
+  const std::size_t hash = EvalTermKeyHash{}(key);
+  Shard& shard =
+      shards_[hash >> (std::numeric_limits<std::size_t>::digits - kShardBits)];
   std::shared_ptr<TermEntry> entry;
   bool overflow = false;
   {
-    const std::scoped_lock lock(mutex_);
-    const auto it = terms_.find(key);
-    if (it != terms_.end()) {
+    const std::scoped_lock lock(shard.mutex);
+    const auto it = shard.terms.find(key);
+    if (it != shard.terms.end()) {
       entry = it->second;
-    } else if (terms_.size() >= kPhaseMemoMaxEntries ||
-               timeline_bytes_ + timeline_bytes > kTermTimelineBudgetBytes) {
+    } else if (!admit(timeline_bytes)) {
       // Entry ceiling (same policy as the context phase memo) or the
       // chunked-timeline byte budget is exhausted: build uncached. The
       // results are identical either way — only revisit cost differs.
       overflow = true;
     } else {
-      auto& fresh = terms_[key];
-      fresh = std::make_shared<TermEntry>();
-      entry = fresh;
-      timeline_bytes_ += timeline_bytes;
+      entry = std::make_shared<TermEntry>();
+      shard.terms.emplace(key, entry);
     }
   }
   std::shared_ptr<const PhaseResult> term;
@@ -176,14 +178,29 @@ std::shared_ptr<const PhaseResult> TermStore::resolve(
   return term;
 }
 
-std::size_t TermStore::size() const {
-  const std::scoped_lock lock(mutex_);
-  return terms_.size();
+namespace {
+
+// Adds `amount` to `counter` unless that would pass `limit`; the
+// compare-exchange loop never lets a concurrent reservation overshoot.
+bool reserve(std::atomic<std::size_t>& counter, std::size_t amount,
+             std::size_t limit) {
+  std::size_t cur = counter.load(std::memory_order_relaxed);
+  do {
+    if (amount > limit || cur > limit - amount) return false;
+  } while (!counter.compare_exchange_weak(cur, cur + amount,
+                                          std::memory_order_relaxed));
+  return true;
 }
 
-std::size_t TermStore::timeline_bytes() const {
-  const std::scoped_lock lock(mutex_);
-  return timeline_bytes_;
+}  // namespace
+
+bool TermStore::admit(std::size_t timeline_bytes) const {
+  if (!reserve(size_, 1, kPhaseMemoMaxEntries)) return false;
+  if (!reserve(timeline_bytes_, timeline_bytes, kTermTimelineBudgetBytes)) {
+    size_.fetch_sub(1, std::memory_order_relaxed);
+    return false;
+  }
+  return true;
 }
 
 // SoA batch scratch for N-phase evaluation: flat row-major arrays, one row

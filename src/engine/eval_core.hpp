@@ -110,6 +110,21 @@ struct EvalTermKeyHash {
 /// The shared term memo behind an evaluation plan: a POD-keyed map of
 /// once-built phase results, the chunked-timeline byte budget, and the
 /// request/build counters. Thread-safe; one store per plan.
+///
+/// Sharding: the map is split into kShards {mutex, map} shards selected by
+/// the high bits of EvalTermKeyHash, so concurrent sweep threads contend
+/// only when their keys land in one shard. A shard lock covers the lookup
+/// and the insert of a new entry, never a build: each entry builds at most
+/// once through its own once-flag (call_once_caching), outside any lock.
+///
+/// Admission by reservation: the entry count and the admitted timeline
+/// bytes are store-wide atomics. A new key is admitted only if it can
+/// reserve one entry below kPhaseMemoMaxEntries and its footprint within
+/// kTermTimelineBudgetBytes, each by a compare-exchange that never moves a
+/// counter past its limit, so the admitted totals can never exceed the
+/// limits whatever the thread schedule. A key refused by either limit is
+/// built uncached (identical result; only revisit cost differs). Near a
+/// limit, which keys win admission depends on the schedule.
 class TermStore {
  public:
   /// A caller-owned L1 entry: the last term resolved at one term position.
@@ -141,7 +156,10 @@ class TermStore {
       const std::function<std::shared_ptr<const PhaseResult>()>& build,
       std::size_t timeline_bytes, Tally& tally) const;
 
-  [[nodiscard]] std::size_t size() const;
+  /// Distinct admitted keys (exact whenever no resolve is in flight).
+  [[nodiscard]] std::size_t size() const {
+    return size_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] std::uint64_t requests() const {
     return requests_.load(std::memory_order_relaxed);
   }
@@ -150,7 +168,9 @@ class TermStore {
   }
   /// Estimated bytes of chunked-term timelines admitted against
   /// kTermTimelineBudgetBytes (small-grid terms are not counted).
-  [[nodiscard]] std::size_t timeline_bytes() const;
+  [[nodiscard]] std::size_t timeline_bytes() const {
+    return timeline_bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct TermEntry {
@@ -161,11 +181,20 @@ class TermStore {
     std::shared_ptr<const PhaseResult> result;
   };
 
-  mutable std::mutex mutex_;
-  mutable std::unordered_map<EvalTermKey, std::shared_ptr<TermEntry>,
-                             EvalTermKeyHash>
-      terms_;
-  mutable std::size_t timeline_bytes_ = 0;  // guarded by mutex_
+  static constexpr std::size_t kShardBits = 6;
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+  struct alignas(64) Shard {
+    std::mutex mutex;
+    std::unordered_map<EvalTermKey, std::shared_ptr<TermEntry>,
+                       EvalTermKeyHash>
+        terms;  // guarded by mutex
+  };
+
+  [[nodiscard]] bool admit(std::size_t timeline_bytes) const;
+
+  mutable std::array<Shard, kShards> shards_;
+  mutable std::atomic<std::size_t> size_{0};
+  mutable std::atomic<std::size_t> timeline_bytes_{0};
   mutable std::atomic<std::uint64_t> requests_{0};
   mutable std::atomic<std::uint64_t> builds_{0};
 };

@@ -14,13 +14,18 @@
 //    SP-Optimized boundary (gemm -> spmm and spmm -> gemm handoffs).
 // Each population is evaluated at block sizes 1 and 257, reusing one state
 // per chain throughout, so stale slots from an earlier block can never leak
-// into the next.
+// into the next. The sharded TermStore is hammered from 8 threads: every
+// admitted key builds once, and the byte budget and entry ceiling hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <numeric>
+#include <optional>
 #include <random>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "dse/pipeline_search.hpp"
@@ -605,6 +610,179 @@ TEST(EvalCoreStats, ContextAggregatesPlanCounters) {
   EXPECT_EQ(stats.term_requests, r.eval.term_requests);
   EXPECT_EQ(stats.term_builds, r.eval.term_builds);
   EXPECT_LE(stats.term_builds, stats.term_requests);
+}
+
+// ---- the sharded term store under concurrency ------------------------------
+
+EvalTermKey synthetic_key(std::uint64_t id) {
+  EvalTermKey k;
+  k.w[0] = 7;  // no engine uses this tag
+  k.w[1] = id;
+  return k;
+}
+
+/// Resolves every key of `footprints` from `threads` threads, each in its
+/// own shuffled order and each key twice in a row (the second an L1 hit),
+/// while a watcher samples the admitted timeline bytes. Returns the builds
+/// per key; checks the results, the counters and the byte budget.
+std::vector<std::uint64_t> resolve_concurrently(
+    const TermStore& store, const std::vector<std::size_t>& footprints,
+    std::size_t threads) {
+  const std::size_t n = footprints.size();
+  std::vector<std::atomic<std::uint64_t>> builds(n);
+  std::vector<TermStore::Tally> tallies(threads);
+  std::vector<char> wrong(threads, 0);
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> max_bytes{0};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      const std::size_t b = store.timeline_bytes();
+      if (b > max_bytes.load()) max_bytes.store(b);
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      std::vector<std::size_t> order(n);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::shuffle(order.begin(), order.end(), std::mt19937_64(t + 1));
+      TermStore::Slot slot;
+      // Start together, so the first admissions race each other.
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      for (const std::size_t id : order) {
+        const auto build = [&builds, id] {
+          builds[id].fetch_add(1);
+          auto r = std::make_shared<PhaseResult>();
+          r->cycles = id;
+          return std::shared_ptr<const PhaseResult>(std::move(r));
+        };
+        for (int rep = 0; rep < 2; ++rep) {
+          const auto term = store.resolve(synthetic_key(id), slot, build,
+                                          footprints[id], tallies[t]);
+          if (term == nullptr || term->cycles != id) wrong[t] = 1;
+        }
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  done.store(true);
+  watcher.join();
+
+  EXPECT_EQ(std::count(wrong.begin(), wrong.end(), 1), 0);
+  EXPECT_LE(max_bytes.load(), kTermTimelineBudgetBytes);
+  EXPECT_LE(store.timeline_bytes(), kTermTimelineBudgetBytes);
+  TermStore::Tally sum;
+  for (const TermStore::Tally& t : tallies) {
+    sum.requests += t.requests;
+    sum.builds += t.builds;
+    sum.delta_hits += t.delta_hits;
+  }
+  std::vector<std::uint64_t> out(n);
+  std::uint64_t total_builds = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = builds[i].load();
+    total_builds += out[i];
+  }
+  EXPECT_EQ(sum.requests, store.requests());
+  EXPECT_EQ(sum.requests, 2 * threads * n);
+  EXPECT_EQ(sum.delta_hits, threads * n);
+  EXPECT_EQ(sum.builds, store.builds());
+  EXPECT_EQ(sum.builds, total_builds);
+  return out;
+}
+
+TEST(TermStoreConcurrency, AdmittedKeysBuildOnceWithinTheByteBudget) {
+  // 200 small-grid keys (always admitted) and 12 chunked keys of 100 MiB:
+  // exactly five fit kTermTimelineBudgetBytes. A refused key is built
+  // uncached by every thread's miss; an admitted one exactly once.
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kBig = 100ull << 20;
+  constexpr std::size_t kFits = kTermTimelineBudgetBytes / kBig;
+  static_assert(kFits == 5);
+  std::vector<std::size_t> footprints(200, 0);
+  footprints.insert(footprints.end(), 12, kBig);
+  TermStore store;
+  const std::vector<std::uint64_t> builds =
+      resolve_concurrently(store, footprints, kThreads);
+
+  std::size_t admitted_big = 0;
+  for (std::size_t i = 0; i < footprints.size(); ++i) {
+    if (footprints[i] == 0) {
+      EXPECT_EQ(builds[i], 1u) << "small key " << i;
+    } else if (builds[i] == 1) {
+      ++admitted_big;
+    } else {
+      EXPECT_EQ(builds[i], kThreads) << "refused key " << i;
+    }
+  }
+  EXPECT_EQ(admitted_big, kFits);
+  EXPECT_EQ(store.timeline_bytes(), kFits * kBig);
+  EXPECT_EQ(store.size(), 200 + kFits);
+}
+
+TEST(TermStoreConcurrency, ByteBudgetHoldsWhenAdmissionsRace) {
+  // Every key is chunked and only two fit the budget, so the threads race
+  // for the same last bytes from their first request on.
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kBig = kTermTimelineBudgetBytes / 3 + 1;
+  const std::vector<std::size_t> footprints(16, kBig);
+  for (int round = 0; round < 50; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    TermStore store;
+    const std::vector<std::uint64_t> builds =
+        resolve_concurrently(store, footprints, kThreads);
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(store.timeline_bytes(), 2 * kBig);
+    EXPECT_EQ(std::count(builds.begin(), builds.end(), std::uint64_t{1}), 2);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(TermStoreConcurrency, EntryCeilingHoldsUnderContention) {
+  constexpr std::size_t kThreads = 8;
+  const std::vector<std::size_t> footprints(kPhaseMemoMaxEntries + 300, 0);
+  TermStore store;
+  const std::vector<std::uint64_t> builds =
+      resolve_concurrently(store, footprints, kThreads);
+  EXPECT_EQ(store.size(), kPhaseMemoMaxEntries);
+  const auto once = static_cast<std::size_t>(
+      std::count(builds.begin(), builds.end(), std::uint64_t{1}));
+  EXPECT_EQ(once, kPhaseMemoMaxEntries);
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(builds.begin(), builds.end(), kThreads)),
+            footprints.size() - once);
+}
+
+TEST(TermStoreConcurrency, SweepTermCountersIndependentOfThreads) {
+  const GnnWorkload w = fuzz_workload();
+  const LayerSpec layer{16};
+  const Omega omega(small_hw());
+  std::optional<ContextEvalStats> first;
+  std::optional<EvalStats> first_eval;
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const WorkloadContext context(w.adjacency);
+    SearchOptions so;
+    so.max_candidates = 512;
+    so.include_ca = true;
+    so.threads = threads;
+    const SearchResult r = search_mappings(omega, w, layer, so, &context);
+    const ContextEvalStats stats = context.eval_stats();
+    EXPECT_EQ(stats.term_builds, r.eval.term_builds);
+    EXPECT_EQ(stats.term_requests, r.eval.term_requests);
+    if (!first) {
+      first = stats;
+      first_eval = r.eval;
+      ASSERT_GT(stats.terms, 0u);
+      continue;
+    }
+    EXPECT_EQ(stats.terms, first->terms);
+    EXPECT_EQ(stats.term_builds, first->term_builds);
+    EXPECT_EQ(r.eval.term_requests, first_eval->term_requests);
+  }
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 // EDP pruning, thread-count determinism on a 3-phase chain, and the
 // phase/boundary-indexed validation messages the searcher relies on; the
 // counted candidate space (pinned populations, random-access decode, an
-// O(budget) capped search, checked sizes) and per-sweep eval counters.
+// O(budget) capped search, checked sizes) and per-sweep eval counters; the
+// rank stage against a verbatim copy of its key-per-candidate predecessor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -17,6 +19,7 @@
 
 #include "dse/candidate_space.hpp"
 #include "dse/pipeline_search.hpp"
+#include "engine/eval_core.hpp"
 #include "engine/schedule_cache.hpp"
 #include "graph/generators.hpp"
 #include "util/error.hpp"
@@ -743,6 +746,258 @@ TEST(CandidateSpaceTest, StrideSampleIndexIsExactPast64Bits) {
     const std::size_t g = stride_sample_index(i, kMax - 7, 64);
     EXPECT_GT(g, prev);
     prev = g;
+  }
+}
+
+// ---- the rank stage against its reference ---------------------------------
+
+double reference_score(Objective obj, std::uint64_t cycles, double pj) {
+  switch (obj) {
+    case Objective::kRuntime: return static_cast<double>(cycles);
+    case Objective::kEnergy: return pj;
+    case Objective::kEnergyDelayProduct:
+      return static_cast<double>(cycles) * pj;
+  }
+  return static_cast<double>(cycles);
+}
+
+/// The rank stage as search_pipeline_mappings ran it before it ranked on
+/// compact rows (a key per feasible candidate, a full sort of the ranked
+/// structs, a deep copy re-sorted for the frontier), kept verbatim as the
+/// reference the row ranking must reproduce.
+PipelineRanking reference_rank(std::vector<PipelineCandidate> cands,
+                               const std::vector<EvalOutcome>& outcomes,
+                               Objective objective, std::size_t top_k) {
+  PipelineRanking result;
+  const std::size_t selected = cands.size();
+  std::vector<RankedPipelineCandidate> valid;
+  valid.reserve(selected);
+  for (std::size_t i = 0; i < selected; ++i) {
+    if (!outcomes[i].ok) continue;
+    RankedPipelineCandidate rc;
+    rc.key = cands[i].key();
+    rc.cycles = outcomes[i].cycles;
+    rc.on_chip_pj = outcomes[i].on_chip_pj;
+    rc.score = reference_score(objective, rc.cycles, rc.on_chip_pj);
+    rc.candidate = std::move(cands[i]);
+    valid.push_back(std::move(rc));
+  }
+  result.evaluated = valid.size();
+
+  std::sort(valid.begin(), valid.end(), pipeline_candidate_order);
+  valid.erase(
+      std::unique(valid.begin(), valid.end(),
+                  [](const RankedPipelineCandidate& a,
+                     const RankedPipelineCandidate& b) {
+                    return a.cycles == b.cycles &&
+                           a.on_chip_pj == b.on_chip_pj && a.key == b.key;
+                  }),
+      valid.end());
+
+  std::vector<RankedPipelineCandidate> by_cycles = valid;
+  std::sort(by_cycles.begin(), by_cycles.end(),
+            [](const RankedPipelineCandidate& a,
+               const RankedPipelineCandidate& b) {
+              if (a.cycles != b.cycles) return a.cycles < b.cycles;
+              if (a.on_chip_pj != b.on_chip_pj) {
+                return a.on_chip_pj < b.on_chip_pj;
+              }
+              return a.key < b.key;
+            });
+  double best_energy = std::numeric_limits<double>::infinity();
+  for (const RankedPipelineCandidate& c : by_cycles) {
+    if (c.on_chip_pj < best_energy) {
+      best_energy = c.on_chip_pj;
+      result.pareto.push_back(c);
+    }
+  }
+
+  if (valid.size() > top_k) valid.resize(top_k);
+  result.ranked = std::move(valid);
+  return result;
+}
+
+void expect_same_entries(const std::vector<RankedPipelineCandidate>& got,
+                         const std::vector<RankedPipelineCandidate>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i) + " " + want[i].key);
+    EXPECT_EQ(got[i].key, want[i].key);
+    EXPECT_EQ(got[i].cycles, want[i].cycles);
+    EXPECT_EQ(got[i].on_chip_pj, want[i].on_chip_pj);
+    EXPECT_EQ(got[i].score, want[i].score);
+    EXPECT_TRUE(same_candidate(got[i].candidate, want[i].candidate));
+  }
+}
+
+/// The first `n` candidates of a chain's space (decoded, not enumerated).
+std::vector<PipelineCandidate> leading_candidates(
+    const PipelineChainSpec& chain, std::size_t chain_index,
+    const GnnWorkload& w, std::size_t n) {
+  const CandidateSpace space(chain, chain_index, w, 64, {});
+  std::vector<PipelineCandidate> out;
+  for (std::size_t i = 0; i < std::min(n, space.size()); ++i) {
+    out.push_back(space.decode(i));
+  }
+  return out;
+}
+
+constexpr Objective kObjectives[] = {Objective::kRuntime, Objective::kEnergy,
+                                     Objective::kEnergyDelayProduct};
+
+TEST(RankStageTest, MatchesTheReferenceOnRandomTiedMetrics) {
+  // Real candidates of both key kinds (classic chains key by the legacy
+  // descriptor, general chains by the chain notation), plus copies of a
+  // random subset. Metrics come from tiny value sets, so score, cycles and
+  // pj tie often; for EDP, cycles x pj ties across unequal pairs too.
+  const GnnWorkload w = toy_workload();
+  std::vector<PipelineCandidate> base =
+      leading_candidates(gat_chain(), 0, w, 300);
+  for (PipelineCandidate& c : leading_candidates(
+           classic_chains(LayerSpec{8}, false)[0], 1, w, 300)) {
+    base.push_back(std::move(c));
+  }
+  ASSERT_EQ(base.size(), 600u);
+
+  std::mt19937_64 rng(1234);
+  constexpr std::uint64_t kCycles[] = {100, 200, 400};
+  constexpr double kPj[] = {0.5, 1.0, 2.0};
+  for (int round = 0; round < 24; ++round) {
+    std::vector<PipelineCandidate> cands = base;
+    std::vector<EvalOutcome> outs(cands.size());
+    for (EvalOutcome& o : outs) {
+      o.ok = rng() % 8 != 0;
+      if (!o.ok) continue;
+      o.cycles = kCycles[rng() % 3];
+      o.on_chip_pj = kPj[rng() % 3];
+    }
+    // Duplicates: a copy with its original's metrics (the ranking drops
+    // it), or with fresh metrics (a distinct point that must stay).
+    for (int d = 0; d < 40; ++d) {
+      const std::size_t from = rng() % base.size();
+      cands.push_back(cands[from]);
+      EvalOutcome o = outs[from];
+      if (rng() % 3 == 0) {
+        o.ok = true;
+        o.cycles = kCycles[rng() % 3];
+        o.on_chip_pj = kPj[rng() % 3];
+      }
+      outs.push_back(o);
+    }
+    for (const Objective obj : kObjectives) {
+      for (const std::size_t top_k :
+           {std::size_t{0}, std::size_t{1}, std::size_t{16},
+            cands.size() + 1}) {
+        SCOPED_TRACE("round " + std::to_string(round) + " objective " +
+                     std::to_string(static_cast<int>(obj)) + " top_k " +
+                     std::to_string(top_k));
+        const PipelineRanking want = reference_rank(cands, outs, obj, top_k);
+        const PipelineRanking got =
+            rank_pipeline_candidates(cands, outs, obj, top_k);
+        EXPECT_EQ(got.evaluated, want.evaluated);
+        expect_same_entries(got.ranked, want.ranked);
+        expect_same_entries(got.pareto, want.pareto);
+        // Keys are built for ties and returned entries only.
+        EXPECT_LE(got.keys_built, got.evaluated);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(RankStageTest, DistinctMetricsBuildOnlyTheReturnedKeys) {
+  const GnnWorkload w = toy_workload();
+  const std::vector<PipelineCandidate> cands =
+      leading_candidates(gat_chain(), 0, w, 100);
+  ASSERT_EQ(cands.size(), 100u);
+  std::vector<EvalOutcome> outs(cands.size());
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    outs[i] = {1000 + i, static_cast<double>(cands.size() - i), true};
+  }
+  const PipelineRanking got =
+      rank_pipeline_candidates(cands, outs, Objective::kRuntime, 4);
+  ASSERT_EQ(got.ranked.size(), 4u);
+  // Every point is on the frontier (cycles up, energy down).
+  EXPECT_EQ(got.pareto.size(), cands.size());
+  EXPECT_EQ(got.keys_built, cands.size());
+  for (EvalOutcome& o : outs) o.on_chip_pj = 1.0;
+  const PipelineRanking flat =
+      rank_pipeline_candidates(cands, outs, Objective::kRuntime, 4);
+  EXPECT_EQ(flat.pareto.size(), 1u);
+  EXPECT_EQ(flat.keys_built, 4u);  // ranked entries; the frontier's is one
+}
+
+/// The population search_pipeline_mappings evaluates for one chain: the
+/// stride sample of the counted space, the extras, then the Table V seeds.
+std::vector<PipelineCandidate> search_population(
+    const Omega& omega, const GnnWorkload& w, const PipelineChainSpec& chain,
+    const PipelineSearchOptions& opt) {
+  const CandidateSpace space(chain, 0, w, omega.config().num_pes, opt);
+  const std::size_t total = space.size();
+  const bool capped = opt.max_candidates > 0 && total > opt.max_candidates;
+  const std::size_t sampled = capped ? opt.max_candidates : total;
+  std::vector<PipelineCandidate> out;
+  for (std::size_t i = 0; i < sampled; ++i) {
+    out.push_back(space.decode(capped ? stride_sample_index(i, total, sampled)
+                                      : i));
+  }
+  out.insert(out.end(), opt.extra_candidates.begin(),
+             opt.extra_candidates.end());
+  if (opt.seed_table5) {
+    for (PipelineCandidate& s : table5_pipeline_seeds(omega, w, chain, 0)) {
+      out.push_back(std::move(s));
+    }
+  }
+  return out;
+}
+
+TEST(RankStageTest, SearchesMatchTheReferenceRanking) {
+  AcceleratorConfig hw;
+  hw.num_pes = 64;
+  const Omega omega(hw);
+  const GnnWorkload w = toy_workload();
+  const PipelineChainSpec chain = gat_chain();
+  const WorkloadContext ctx(w.adjacency);
+  const auto plan = PipelineEvalPlan::obtain(omega, w, chain, ctx);
+
+  PipelineSearchOptions opt;
+  opt.max_candidates = 200;
+  // Extras that duplicate sampled candidates (and one another); the Table V
+  // seeds ride along as well.
+  const std::vector<PipelineCandidate> sample =
+      search_population(omega, w, chain, opt);
+  for (const std::size_t i : {0, 3, 3, 57, 199}) {
+    opt.extra_candidates.push_back(sample[i]);
+  }
+  ASSERT_TRUE(opt.seed_table5);
+  const std::vector<PipelineCandidate> population =
+      search_population(omega, w, chain, opt);
+  std::vector<PipelineBindingView> views;
+  for (const PipelineCandidate& c : population) views.push_back(c.view());
+  std::vector<EvalOutcome> outs(population.size());
+  PipelineDeltaState state;
+  plan->evaluate_batch(views, outs.data(), state);
+
+  for (const Objective obj : kObjectives) {
+    for (const std::size_t top_k : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{16}, population.size() + 1}) {
+      const PipelineRanking want =
+          reference_rank(population, outs, obj, top_k);
+      for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE("objective " + std::to_string(static_cast<int>(obj)) +
+                     " top_k " + std::to_string(top_k) + " threads " +
+                     std::to_string(threads));
+        opt.objective = obj;
+        opt.top_k = top_k;
+        opt.threads = threads;
+        const PipelineSearchResult got =
+            search_pipeline_mappings(omega, w, chain, opt, &ctx);
+        EXPECT_EQ(got.evaluated, want.evaluated);
+        expect_same_entries(got.ranked, want.ranked);
+        expect_same_entries(got.pareto, want.pareto);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
   }
 }
 
