@@ -8,8 +8,10 @@
 // re-transposes / re-schedules), through the scalar memoized path
 // (Omega::run with a shared context, the oracle), and through the batched
 // eval core every search drives (candidates lowered onto the AC/CA chains,
-// PipelineEvalPlan::evaluate_batch per block), reporting candidates/sec
-// for each and writing BENCH_dse.json.
+// PipelineEvalPlan::evaluate per candidate, one state per block and chain),
+// reporting candidates/sec for each, then times the same capped
+// search_mappings warm through its own enumerate/evaluate/rank stage spans,
+// and writes BENCH_dse.json.
 //
 // Knobs: OMEGA_DSE_SCALE (R-MAT scale, default 16 => 65536 vertices),
 //        OMEGA_DSE_EDGES (edge budget, default 524288),
@@ -54,6 +56,7 @@
 #include "dse/pipeline_search.hpp"
 #include "dse/search.hpp"
 #include "graph/generators.hpp"
+#include "obs/trace.hpp"
 #include "omega/pipeline.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
@@ -162,6 +165,55 @@ SweepTiming time_sweep(std::size_t n, std::size_t repeat,
   return t;
 }
 
+/// A warm capped search_mappings (AC + CA) timed whole and per stage
+/// through its own dse trace spans: one untimed warmup on `context`, then
+/// `repeat` timed searches; every figure is the median over them.
+struct SearchTiming {
+  double wall_ms = 0.0;
+  double enumerate_ms = 0.0;
+  double evaluate_ms = 0.0;
+  double rank_ms = 0.0;
+  std::size_t evaluated = 0;
+};
+
+SearchTiming time_warm_search(const Omega& omega, const GnnWorkload& w,
+                              const LayerSpec& layer, std::size_t cap,
+                              std::size_t repeat,
+                              const WorkloadContext& context) {
+  SearchOptions opt;
+  opt.include_ca = true;
+  opt.max_candidates = cap;
+  SearchTiming t;
+  t.evaluated = search_mappings(omega, w, layer, opt, &context).evaluated;
+  std::vector<double> wall, enumerate, evaluate, rank;
+  for (std::size_t r = 0; r < std::max<std::size_t>(repeat, 1); ++r) {
+    obs::TraceCollector trace;
+    opt.trace = &trace;
+    const auto t0 = std::chrono::steady_clock::now();
+    const SearchResult result = search_mappings(omega, w, layer, opt, &context);
+    const auto t1 = std::chrono::steady_clock::now();
+    if (result.evaluated != t.evaluated) {
+      throw Error("warm search repeat diverged from its warmup");
+    }
+    wall.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    double stage[3] = {0.0, 0.0, 0.0};
+    for (const obs::TraceEvent& e : trace.events()) {
+      const double ms = static_cast<double>(e.dur_us) / 1000.0;
+      if (e.name == "enumerate") stage[0] += ms;
+      if (e.name == "evaluate") stage[1] += ms;
+      if (e.name == "rank") stage[2] += ms;
+    }
+    enumerate.push_back(stage[0]);
+    evaluate.push_back(stage[1]);
+    rank.push_back(stage[2]);
+  }
+  t.wall_ms = bench::summarize_samples(wall).median;
+  t.enumerate_ms = bench::summarize_samples(enumerate).median;
+  t.evaluate_ms = bench::summarize_samples(evaluate).median;
+  t.rank_ms = bench::summarize_samples(rank).median;
+  return t;
+}
+
 int run_dse_sweep(std::size_t repeat) {
   const std::size_t scale = env_or("OMEGA_DSE_SCALE", 16);
   const std::size_t edge_budget = env_or("OMEGA_DSE_EDGES", 524288);
@@ -233,7 +285,6 @@ int run_dse_sweep(std::size_t repeat) {
   // Scalar through the reuse layer: one context shared by the whole sweep
   // (the pre-eval-core hot path, kept as the oracle).
   const WorkloadContext context(w.adjacency);
-  (void)context.reverse_graph();  // pre-warm, as search_mappings does
   std::vector<std::uint64_t> scalar_cycles;
   const SweepTiming scalar = time_sweep(
       candidates.size(), repeat, &scalar_cycles,
@@ -254,8 +305,8 @@ int run_dse_sweep(std::size_t repeat) {
 
   // Batched core: the path every search drives. Each candidate is lowered
   // onto its phase order's chain (AC = 0, CA = 1) exactly as
-  // search_mappings lowers it, and each block's same-chain runs flow
-  // through PipelineEvalPlan::evaluate_batch.
+  // search_mappings lowers it and evaluated on its block's state for that
+  // chain.
   const std::size_t pes = omega.config().num_pes;
   const std::array<std::shared_ptr<const PipelineEvalPlan>, 2> plans = {
       PipelineEvalPlan::obtain(omega, w,
@@ -268,7 +319,7 @@ int run_dse_sweep(std::size_t repeat) {
   lowered.reserve(candidates.size());
   for (const DataflowDescriptor& df : candidates) {
     lowered.push_back(lower_two_phase_candidate(
-        df, df.phase_order == PhaseOrder::kCA ? 1 : 0, layer, pes));
+        df, df.phase_order == PhaseOrder::kCA ? 1 : 0, pes));
   }
   std::vector<std::uint64_t> batched_cycles;
   const SweepTiming batched = time_sweep(
@@ -277,23 +328,19 @@ int run_dse_sweep(std::size_t repeat) {
         parallel_blocks(
             lowered.size(), [&](std::size_t begin, std::size_t end) {
               std::array<PipelineDeltaState, 2> states;
-              std::vector<PipelineBindingView> views;
-              std::vector<EvalOutcome> outs;
-              for (std::size_t j = begin; j < end;) {
-                const std::size_t run = j;
+              for (std::size_t j = begin; j < end; ++j) {
                 const std::size_t c = lowered[j].chain_index;
-                views.clear();
-                while (j < end && lowered[j].chain_index == c) {
-                  views.push_back(lowered[j++].view());
-                }
-                outs.assign(views.size(), EvalOutcome{});
-                plans[c]->evaluate_batch(views, outs.data(), states[c]);
-                for (std::size_t k = 0; k < views.size(); ++k) {
-                  out[run + k] = outs[k].ok ? outs[k].cycles : 0;
-                }
+                const EvalOutcome o =
+                    plans[c]->evaluate(lowered[j].view(), states[c]);
+                out[j] = o.ok ? o.cycles : 0;
               }
             });
       });
+
+  // The search every caller runs over the same capped population, warm on
+  // the context the sweeps above filled.
+  const SearchTiming search =
+      time_warm_search(omega, w, layer, max_candidates, repeat, context);
 
   // Parity gates: the scalar results on the baseline indices must be
   // bit-identical to the context-free runs, and batched must be
@@ -328,6 +375,11 @@ int run_dse_sweep(std::size_t repeat) {
   report("uncached: ", uncached, baseline.size());
   report("scalar:   ", scalar, candidates.size());
   report("batched:  ", batched, candidates.size());
+  std::cout << "search:   " << fixed(search.wall_ms, 2)
+            << " ms warm search_mappings (" << search.evaluated
+            << " evaluated; enumerate " << fixed(search.enumerate_ms, 2)
+            << " ms, evaluate " << fixed(search.evaluate_ms, 2)
+            << " ms, rank " << fixed(search.rank_ms, 2) << " ms median)\n";
   const ContextEvalStats eval = context.eval_stats();
   std::cout << "  (" << context.phase_cache_size() << " phase sims, "
             << eval.terms << " terms ("
@@ -384,6 +436,12 @@ int run_dse_sweep(std::size_t repeat) {
     emit_timing("uncached", uncached);
     emit_timing("cached", scalar);  // historical key: the scalar context path
     emit_timing("batched", batched);
+    jw.member("search_warm_ms", search.wall_ms);
+    jw.key("search_stage_ms").begin_object();
+    jw.member("enumerate", search.enumerate_ms);
+    jw.member("evaluate", search.evaluate_ms);
+    jw.member("rank", search.rank_ms);
+    jw.end_object();
     jw.member("speedup", speedup);
     jw.member("batched_speedup_vs_scalar", batched_vs_scalar);
     jw.member("batched_speedup_vs_scalar_quickest",

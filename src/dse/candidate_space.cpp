@@ -285,7 +285,8 @@ struct CandidateSpace::Impl {
     }
   }
 
-  PipelineCandidate decode_pair(const PairBlock& b, std::size_t local) const {
+  void decode_pair(const PairBlock& b, std::size_t local,
+                   PipelineCandidate& c) const {
     TileSizes at;
     TileSizes ct;
     if (b.inter == InterPhase::kSPOptimized) {
@@ -295,8 +296,8 @@ struct CandidateSpace::Impl {
       at = (*b.agg)[local / b.cmb->size()];
       ct = (*b.cmb)[local % b.cmb->size()];
     }
-    return lower_two_phase_candidate(descriptor(b, at, ct), chain_index,
-                                     shape.classic_layer, pes);
+    lower_two_phase_candidate_into(descriptor(b, at, ct), chain_index, pes,
+                                   c);
   }
 
   // ---- general chains ----------------------------------------------------
@@ -473,12 +474,14 @@ struct CandidateSpace::Impl {
     return k.below.at(below_key(k, i, order, t));
   }
 
-  PipelineCandidate decode_kinds(const KindBlock& k, std::size_t local) const {
+  void decode_kinds(const KindBlock& k, std::size_t local,
+                    PipelineCandidate& c) const {
     const std::size_t n = shape.phases.size();
-    PipelineCandidate c;
     c.chain_index = chain_index;
-    c.boundaries = k.kinds;
+    c.boundaries.assign(k.kinds.begin(), k.kinds.end());
     c.phases.resize(n);
+    c.pe_fractions.clear();
+    c.legacy.reset();
     std::size_t prev = 0;  // order index chosen at phase i-1
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t orders = shape.phases[i].orders.size();
@@ -532,7 +535,6 @@ struct CandidateSpace::Impl {
         c.pe_fractions[b + 1] = 1.0 - k.fracs[b];
       }
     }
-    return c;
   }
 };
 
@@ -567,14 +569,24 @@ CandidateSpace::~CandidateSpace() = default;
 std::size_t CandidateSpace::size() const { return impl_->offsets.back(); }
 
 PipelineCandidate CandidateSpace::decode(std::size_t index) const {
+  PipelineCandidate c;
+  decode_into(index, c);
+  return c;
+}
+
+void CandidateSpace::decode_into(std::size_t index,
+                                 PipelineCandidate& out) const {
   OMEGA_CHECK(index < size(), "candidate space index " +
                                   std::to_string(index) + " out of range");
   const std::vector<std::size_t>& off = impl_->offsets;
   const std::size_t b = static_cast<std::size_t>(
       std::upper_bound(off.begin(), off.end(), index) - off.begin() - 1);
   const std::size_t local = index - off[b];
-  return impl_->shape.classic ? impl_->decode_pair(impl_->pair_blocks[b], local)
-                              : impl_->decode_kinds(impl_->kind_blocks[b], local);
+  if (impl_->shape.classic) {
+    impl_->decode_pair(impl_->pair_blocks[b], local, out);
+  } else {
+    impl_->decode_kinds(impl_->kind_blocks[b], local, out);
+  }
 }
 
 std::vector<PipelineCandidate> CandidateSpace::decode_all() const {

@@ -20,8 +20,8 @@
 //    is agg tilings x cmb tilings with agg outer; Table II validation is
 //    decided once per block, except for SP-Optimized, whose per-tile rules
 //    filter the agg list (the cmb tile is tied to it). Each index decodes to
-//    the descriptor and is lowered through lower_two_phase_candidate, so
-//    `legacy` and key() are the descriptor's.
+//    the descriptor and is lowered through lower_two_phase_candidate_into,
+//    so `legacy` and key() are the descriptor's.
 //  * General chains: boundary strategies outermost (per boundary Seq, SPg,
 //    SPO, then PP per valid fraction; chunked boundaries never adjacent and
 //    never feeding a sparse-weight phase; PP needs >= 2 PEs), then per phase
@@ -96,6 +96,10 @@ class CandidateSpace {
   [[nodiscard]] std::size_t size() const;
   /// The candidate at `index` < size(), in the ordering contract above.
   [[nodiscard]] PipelineCandidate decode(std::size_t index) const;
+  /// decode(index) written into `out`, whatever it held before, reusing
+  /// its vectors' capacity: a sweep streams its sample through one
+  /// candidate per block. Thread-safe (the space is read-only).
+  void decode_into(std::size_t index, PipelineCandidate& out) const;
   /// Every candidate in order (decode of 0 .. size()-1).
   [[nodiscard]] std::vector<PipelineCandidate> decode_all() const;
 

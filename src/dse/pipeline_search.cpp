@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "dataflow/patterns.hpp"
@@ -42,15 +43,15 @@ double score_of(Objective obj, std::uint64_t cycles, double pj) {
 }
 
 struct ChainInfo {
-  ChainShape shape;
   std::vector<PipelinePhaseWork> work;
   double energy_lb = 0.0;
 };
 
 ChainInfo make_chain_info(const PipelineChainSpec& chain,
                           const GnnWorkload& workload, std::size_t index) {
+  // A chain failing chain_error throws here, its error naming the chain.
+  (void)ChainShape::of(chain, index, workload.in_features);
   ChainInfo ci;
-  ci.shape = ChainShape::of(chain, index, workload.in_features);
   ci.work = pipeline_phase_work(chain, workload);
   return ci;
 }
@@ -96,38 +97,25 @@ bool pipeline_candidate_order(const RankedPipelineCandidate& a,
 }
 
 PipelineRanking rank_pipeline_candidates(
-    std::span<const PipelineCandidate> cands,
-    std::span<const EvalOutcome> outcomes, Objective objective,
-    std::size_t top_k) {
-  OMEGA_CHECK(cands.size() == outcomes.size(),
-              "rank_pipeline_candidates: one outcome per candidate");
-  // Compact metric rows; the index is the last tie-break, so every sort
-  // below is a total order and needs no key until metrics tie.
-  struct Row {
-    double score;
-    std::uint64_t cycles;
-    double pj;
-    std::size_t index;
-  };
-  std::vector<Row> rows;
-  rows.reserve(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    const EvalOutcome& o = outcomes[i];
-    if (!o.ok) continue;
-    rows.push_back(
-        {score_of(objective, o.cycles, o.on_chip_pj), o.cycles,
-         o.on_chip_pj, i});
-  }
+    std::vector<PipelineMetricRow> rows,
+    const PipelineCandidateAt& candidate_at, std::size_t top_k) {
+  using Row = PipelineMetricRow;
   PipelineRanking out;
   out.evaluated = rows.size();
 
-  std::vector<std::string> keys(cands.size());  // "" = not built yet
+  // Keys of the rows that need one, by population index; the index is the
+  // last tie-break, so every sort below is a total order and needs no key
+  // until metrics tie.
+  std::unordered_map<std::size_t, std::string> keys;
+  PipelineCandidate scratch;
   const auto key = [&](std::size_t i) -> const std::string& {
-    if (keys[i].empty()) {
-      keys[i] = cands[i].key();
+    const auto [it, fresh] = keys.try_emplace(i);
+    if (fresh) {
+      candidate_at(i, scratch);
+      it->second = scratch.key();
       ++out.keys_built;
     }
-    return keys[i];
+    return it->second;
   };
   const auto by_key = [&](const Row& a, const Row& b) {
     const int c = key(a.index).compare(key(b.index));
@@ -135,10 +123,10 @@ PipelineRanking rank_pipeline_candidates(
   };
   const auto entry = [&](const Row& r) {
     RankedPipelineCandidate rc;
-    rc.candidate = cands[r.index];
     rc.key = key(r.index);
+    candidate_at(r.index, rc.candidate);
     rc.cycles = r.cycles;
-    rc.on_chip_pj = r.pj;
+    rc.on_chip_pj = r.on_chip_pj;
     rc.score = r.score;
     return rc;
   };
@@ -148,13 +136,13 @@ PipelineRanking rank_pipeline_candidates(
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     if (a.score != b.score) return a.score < b.score;
     if (a.cycles != b.cycles) return a.cycles < b.cycles;
-    if (a.pj != b.pj) return a.pj < b.pj;
+    if (a.on_chip_pj != b.on_chip_pj) return a.on_chip_pj < b.on_chip_pj;
     return a.index < b.index;
   });
   for (auto g = rows.begin(); g != rows.end() && out.ranked.size() < top_k;) {
     auto e = g + 1;
     while (e != rows.end() && e->score == g->score && e->cycles == g->cycles &&
-           e->pj == g->pj) {
+           e->on_chip_pj == g->on_chip_pj) {
       ++e;
     }
     if (e - g > 1) std::sort(g, e, by_key);
@@ -170,17 +158,17 @@ PipelineRanking rank_pipeline_candidates(
   // rows tied on that pj represents it (deterministic across platforms).
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     if (a.cycles != b.cycles) return a.cycles < b.cycles;
-    if (a.pj != b.pj) return a.pj < b.pj;
+    if (a.on_chip_pj != b.on_chip_pj) return a.on_chip_pj < b.on_chip_pj;
     return a.index < b.index;
   });
   double best_energy = std::numeric_limits<double>::infinity();
   for (auto g = rows.begin(); g != rows.end();) {
     auto e = g + 1;
     while (e != rows.end() && e->cycles == g->cycles) ++e;
-    if (g->pj < best_energy) {
-      best_energy = g->pj;
+    if (g->on_chip_pj < best_energy) {
+      best_energy = g->on_chip_pj;
       auto t = g + 1;
-      while (t != e && t->pj == g->pj) ++t;
+      while (t != e && t->on_chip_pj == g->on_chip_pj) ++t;
       out.pareto.push_back(entry(*std::min_element(g, t, by_key)));
     }
     g = e;
@@ -308,17 +296,31 @@ PipelineChainSpec two_phase_chain(PhaseOrder order, const LayerSpec& layer) {
 
 PipelineCandidate lower_two_phase_candidate(const DataflowDescriptor& df,
                                             std::size_t chain_index,
-                                            const LayerSpec& layer,
                                             std::size_t num_pes) {
-  PipelineSpec spec = two_phase_pipeline(df, layer, num_pes);
   PipelineCandidate c;
-  c.chain_index = chain_index;
-  c.phases.reserve(spec.phases.size());
-  for (const PhaseSpec& p : spec.phases) c.phases.push_back(p.dataflow);
-  c.boundaries = std::move(spec.boundaries);
-  c.pe_fractions = std::move(spec.pe_fractions);
-  c.legacy = df;
+  lower_two_phase_candidate_into(df, chain_index, num_pes, c);
   return c;
+}
+
+void lower_two_phase_candidate_into(const DataflowDescriptor& df,
+                                    std::size_t chain_index,
+                                    std::size_t num_pes,
+                                    PipelineCandidate& out) {
+  // two_phase_pipeline's binding, without building the spec: phases in
+  // execution order, one boundary, PE fractions for PP only.
+  const bool ac = df.phase_order == PhaseOrder::kAC;
+  out.chain_index = chain_index;
+  out.phases.resize(2);
+  out.phases[0] = ac ? df.agg : df.cmb;
+  out.phases[1] = ac ? df.cmb : df.agg;
+  out.boundaries.assign(1, df.inter);
+  out.pe_fractions.clear();
+  if (df.inter == InterPhase::kParallelPipeline) {
+    const double first = two_phase_first_pe_fraction(df, num_pes);
+    out.pe_fractions.push_back(first);
+    out.pe_fractions.push_back(1.0 - first);
+  }
+  out.legacy = df;
 }
 
 std::vector<PipelineCandidate> enumerate_pipeline_candidates(
@@ -345,8 +347,7 @@ std::vector<PipelineCandidate> table5_pipeline_seeds(
       try {
         const DataflowDescriptor df = bind_tiles(pattern, dims, hw);
         if (df.validation_error()) continue;
-        out.push_back(lower_two_phase_candidate(df, chain_index,
-                                                shape.classic_layer, pes));
+        out.push_back(lower_two_phase_candidate(df, chain_index, pes));
       } catch (const Error&) {
         // Pattern does not fit this workload/substrate; skip.
       }
@@ -487,8 +488,8 @@ PipelineSearchResult search_pipeline_mappings(
         pipeline_energy_lower_bound(infos.back().work, omega.energy_model());
   }
 
-  // Per-chain candidate spaces, counted without walking them; only the
-  // sampled indices are decoded below.
+  // Per-chain candidate spaces, counted without walking them; the
+  // evaluation blocks decode only the sampled indices.
   std::vector<std::optional<CandidateSpace>> spaces(chains.size());
   std::vector<std::size_t> prefix(chains.size() + 1, 0);
   for (std::size_t c = 0; c < chains.size(); ++c) {
@@ -535,17 +536,18 @@ PipelineSearchResult search_pipeline_mappings(
   const std::size_t selected = sampled + extras.size();
   if (selected == 0) return result;
 
-  std::vector<PipelineCandidate> cands(selected);
-  for (std::size_t i = 0; i < sampled; ++i) {
+  // The selected population: index i < sampled is the i-th stride sample,
+  // decoded on demand into the caller's candidate; the rest are the extras.
+  const auto candidate_at =
+      [&](std::size_t i, PipelineCandidate& buf) -> const PipelineCandidate& {
+    if (i >= sampled) return extras[i - sampled];
     const std::size_t g = capped ? stride_sample_index(i, total, sampled) : i;
     const std::size_t c = static_cast<std::size_t>(
         std::upper_bound(prefix.begin(), prefix.end(), g) - prefix.begin() -
         1);
-    cands[i] = spaces[c]->decode(g - prefix[c]);
-  }
-  for (std::size_t e = 0; e < extras.size(); ++e) {
-    cands[sampled + e] = std::move(extras[e]);
-  }
+    spaces[c]->decode_into(g - prefix[c], buf);
+    return buf;
+  };
   span->arg("generated", result.generated);
   span->arg("selected", selected);
   span.reset();
@@ -554,23 +556,6 @@ PipelineSearchResult search_pipeline_mappings(
   if (shared_context == nullptr) own_context.emplace(workload.adjacency);
   const WorkloadContext& context =
       shared_context != nullptr ? *shared_context : *own_context;
-  // Pre-warm the reverse adjacency if any selected sparse phase scatters,
-  // so sweep threads do not race to build it on first touch.
-  for (std::size_t i = 0; i < selected; ++i) {
-    const ChainInfo& ci = infos[cands[i].chain_index];
-    bool scatter = false;
-    const std::size_t n = std::min(cands[i].phases.size(), ci.shape.phases.size());
-    for (std::size_t p = 0; p < n && !scatter; ++p) {
-      if (ci.shape.phases[p].engine == PhaseEngine::kDenseDense) continue;
-      const LoopOrder& order = cands[i].phases[p].order;
-      scatter = order.contains(Dim::kV) && order.contains(Dim::kN) &&
-                order.depth_of(Dim::kV) > order.depth_of(Dim::kN);
-    }
-    if (scatter) {
-      (void)context.reverse_graph();
-      break;
-    }
-  }
 
   // Evaluation order: identity without pruning; with pruning, ascending
   // objective lower bound with index tie-break. The bounds are true lower
@@ -583,27 +568,30 @@ PipelineSearchResult search_pipeline_mappings(
   if (prune) {
     span.emplace(options.trace, "prune", "dse");
     span->arg("candidates", selected);
-    bounds.resize(selected);
-    for (std::size_t i = 0; i < selected; ++i) {
-      if (i >= sampled) {
-        // Extras sort to the front and can never be culled
-        // (bound <= incumbent always holds for 0).
-        bounds[i] = 0.0;
-        continue;
-      }
-      const ChainInfo& ci = infos[cands[i].chain_index];
-      const std::uint64_t cycle_lb =
-          pipeline_mac_cycle_bound(ci.work, cands[i], pes);
-      switch (options.objective) {
-        case Objective::kRuntime:
-          bounds[i] = static_cast<double>(cycle_lb);
-          break;
-        case Objective::kEnergy: bounds[i] = ci.energy_lb; break;
-        case Objective::kEnergyDelayProduct:
-          bounds[i] = static_cast<double>(cycle_lb) * ci.energy_lb;
-          break;
-      }
-    }
+    // Extras keep bound 0: they sort to the front and can never be culled
+    // (bound <= incumbent always holds for 0).
+    bounds.assign(selected, 0.0);
+    parallel_blocks(
+        sampled,
+        [&](std::size_t begin, std::size_t end) {
+          PipelineCandidate buf;
+          for (std::size_t i = begin; i < end; ++i) {
+            const PipelineCandidate& cand = candidate_at(i, buf);
+            const ChainInfo& ci = infos[cand.chain_index];
+            const std::uint64_t cycle_lb =
+                pipeline_mac_cycle_bound(ci.work, cand, pes);
+            switch (options.objective) {
+              case Objective::kRuntime:
+                bounds[i] = static_cast<double>(cycle_lb);
+                break;
+              case Objective::kEnergy: bounds[i] = ci.energy_lb; break;
+              case Objective::kEnergyDelayProduct:
+                bounds[i] = static_cast<double>(cycle_lb) * ci.energy_lb;
+                break;
+            }
+          }
+        },
+        options.threads);
     std::sort(eval_order.begin(), eval_order.end(),
               [&](std::size_t a, std::size_t b) {
                 if (bounds[a] != bounds[b]) return bounds[a] < bounds[b];
@@ -628,63 +616,68 @@ PipelineSearchResult search_pipeline_mappings(
   std::atomic<std::uint64_t> batched_candidates{0};
   std::atomic<std::uint64_t> max_batch{0};
 
-  std::vector<EvalOutcome> outcomes(selected);
+  // One metric row per selected index, written by the block that evaluates
+  // it; an index that stays kNoRow was culled or is infeasible.
+  constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
+  std::vector<PipelineMetricRow> rows(selected,
+                                      PipelineMetricRow{.index = kNoRow});
   const auto evaluate_range = [&](std::size_t from, std::size_t to) {
     parallel_blocks(
         to - from,
         [&](std::size_t begin, std::size_t end) {
+          const auto record = [&](std::size_t i, const EvalOutcome& o) {
+            if (!o.ok) return;
+            rows[i] = {score_of(options.objective, o.cycles, o.on_chip_pj),
+                       o.cycles, o.on_chip_pj, i};
+          };
+          PipelineCandidate buf;
           if (options.eval_path == EvalPath::kScalar) {
             for (std::size_t j = begin; j < end; ++j) {
               const std::size_t i = eval_order[from + j];
+              const PipelineCandidate& cand = candidate_at(i, buf);
               try {
                 const PipelineSpec spec =
-                    chains[cands[i].chain_index].bind(cands[i].view());
+                    chains[cand.chain_index].bind(cand.view());
                 const PipelineResult r =
                     omega.run_pipeline(workload, spec, &context);
-                outcomes[i] = {r.cycles, r.energy.on_chip_pj(), true};
+                record(i, {r.cycles, r.energy.on_chip_pj(), true});
               } catch (const Error&) {
-                // Infeasible under this substrate; the outcome stays !ok.
+                // Infeasible under this substrate; no row.
               }
             }
             return;
           }
           // Per-block states (L1 slots never cross threads), one per chain
-          // so multi-chain sweeps keep per-position reuse. Maximal runs of
-          // same-chain candidates flow through one evaluate_batch call.
+          // so multi-chain sweeps keep per-position reuse. A maximal run of
+          // same-chain candidates counts as one batch.
           std::vector<PipelineDeltaState> states(chains.size());
-          std::vector<PipelineBindingView> views;
-          std::vector<EvalOutcome> outs;
-          std::size_t j = begin;
-          while (j < end) {
-            const std::size_t run_begin = j;
-            const std::size_t c = cands[eval_order[from + j]].chain_index;
-            while (j < end && cands[eval_order[from + j]].chain_index == c) {
-              ++j;
-            }
-            const std::size_t m = j - run_begin;
-            views.clear();
-            views.reserve(m);
-            for (std::size_t k = 0; k < m; ++k) {
-              views.push_back(cands[eval_order[from + run_begin + k]].view());
-            }
-            outs.assign(m, EvalOutcome{});
-            plans[c]->evaluate_batch({views.data(), m}, outs.data(),
-                                     states[c]);
-            for (std::size_t k = 0; k < m; ++k) {
-              outcomes[eval_order[from + run_begin + k]] = outs[k];
-            }
+          std::size_t run_chain = 0;
+          std::uint64_t run = 0;
+          const auto close_run = [&] {
+            if (run == 0) return;
             batches.fetch_add(1, std::memory_order_relaxed);
-            batched_candidates.fetch_add(m, std::memory_order_relaxed);
+            batched_candidates.fetch_add(run, std::memory_order_relaxed);
             std::uint64_t cur = max_batch.load(std::memory_order_relaxed);
-            while (cur < m && !max_batch.compare_exchange_weak(
-                                  cur, m, std::memory_order_relaxed)) {
+            while (cur < run && !max_batch.compare_exchange_weak(
+                                    cur, run, std::memory_order_relaxed)) {
             }
+            run = 0;
+          };
+          for (std::size_t j = begin; j < end; ++j) {
+            const std::size_t i = eval_order[from + j];
+            const PipelineCandidate& cand = candidate_at(i, buf);
+            const std::size_t c = cand.chain_index;
+            if (c != run_chain) close_run();
+            run_chain = c;
+            ++run;
+            record(i, plans[c]->evaluate(cand.view(), states[c]));
           }
-          for (const PipelineDeltaState& s : states) {
-            term_requests.fetch_add(s.tally.requests,
+          close_run();
+          for (const PipelineDeltaState& st : states) {
+            term_requests.fetch_add(st.tally.requests,
                                     std::memory_order_relaxed);
-            term_builds.fetch_add(s.tally.builds, std::memory_order_relaxed);
-            delta_hits.fetch_add(s.tally.delta_hits,
+            term_builds.fetch_add(st.tally.builds, std::memory_order_relaxed);
+            delta_hits.fetch_add(st.tally.delta_hits,
                                  std::memory_order_relaxed);
           }
         },
@@ -703,12 +696,8 @@ PipelineSearchResult search_pipeline_mappings(
     evaluate_range(0, seed);
     double incumbent = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < seed; ++j) {
-      const EvalOutcome& o = outcomes[eval_order[j]];
-      if (o.ok) {
-        incumbent =
-            std::min(incumbent, score_of(options.objective, o.cycles,
-                                         o.on_chip_pj));
-      }
+      const PipelineMetricRow& r = rows[eval_order[j]];
+      if (r.index != kNoRow) incumbent = std::min(incumbent, r.score);
     }
     std::size_t keep = seed;
     while (keep < selected && bounds[eval_order[keep]] <= incumbent) ++keep;
@@ -733,8 +722,15 @@ PipelineSearchResult search_pipeline_mappings(
   span.reset();
 
   span.emplace(options.trace, "rank", "dse");
+  std::erase_if(rows,
+                [&](const PipelineMetricRow& r) { return r.index == kNoRow; });
   PipelineRanking ranking = rank_pipeline_candidates(
-      cands, outcomes, options.objective, options.top_k);
+      std::move(rows),
+      [&](std::size_t i, PipelineCandidate& out) {
+        const PipelineCandidate& cand = candidate_at(i, out);
+        if (&cand != &out) out = cand;
+      },
+      options.top_k);
   result.ranked = std::move(ranking.ranked);
   result.pareto = std::move(ranking.pareto);
   result.evaluated = ranking.evaluated;

@@ -12,7 +12,10 @@
 //
 // Each chain's population is a CandidateSpace (dse/candidate_space.hpp):
 // counted, never walked, and decoded only at the stride-sampled indices, so
-// a capped search costs O(budget).
+// a capped search costs O(budget). The sample is never materialized: each
+// parallel evaluation block streams its indices through one reusable
+// candidate into compact metric rows, and the rank stage decodes again only
+// the candidates it must key or return.
 //
 // Two-phase adapter contract: for a classic chain (one sparse-dense + one
 // dense phase), the space decodes in the historic two-phase enumeration
@@ -35,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -110,7 +114,17 @@ struct PipelineSearchOptions {
   std::size_t enumerate_chains = 0;
   /// When non-null, the sweep emits enumerate/prune/evaluate/rank stage
   /// spans (wall-clock, category "dse") into this collector. Null = zero
-  /// instrumentation cost.
+  /// instrumentation cost. What each span covers:
+  ///  * enumerate — chain shapes and bounds, counting the CandidateSpaces,
+  ///    and materializing the extras and Table V seeds; no sampled
+  ///    candidate is decoded here.
+  ///  * prune (prune only) — the parallel bound pass, which decodes every
+  ///    sampled candidate once, and the bound-ascending sort.
+  ///  * evaluate — the parallel stream: each block decodes its sampled
+  ///    indices into one reusable candidate and evaluates it; the seed
+  ///    pass and the cull when pruning.
+  ///  * rank — sorting the metric rows and decoding the tied and returned
+  ///    candidates.
   obs::TraceCollector* trace = nullptr;
 };
 
@@ -150,18 +164,32 @@ struct PipelineSearchResult {
     const PipelineSearchOptions& options = {},
     const WorkloadContext* shared_context = nullptr);
 
-/// The rank stage of a search: `outcomes[i]` is the evaluation of
-/// `cands[i]`. Ranks the feasible candidates by pipeline_candidate_order,
-/// drops copies (equal cycles, energy and key — an extra or seed may
-/// duplicate a sampled candidate), keeps the first `top_k`, and builds the
-/// cycles-ascending (cycles, energy) Pareto frontier over the same
-/// deduplicated set, each frontier point the least key among its ties.
-/// `evaluated` counts the feasible candidates before deduplication.
+/// One evaluated feasible candidate as the rank stage sees it: its metrics
+/// and its index in the searched population.
+struct PipelineMetricRow {
+  double score = 0.0;
+  std::uint64_t cycles = 0;
+  double on_chip_pj = 0.0;
+  std::size_t index = 0;
+};
+
+/// Writes population entry `index` into the candidate (decoding it, so the
+/// candidate's vectors are reused).
+using PipelineCandidateAt =
+    std::function<void(std::size_t index, PipelineCandidate& out)>;
+
+/// The rank stage of a search over the feasible `rows` (distinct indices,
+/// scores under the searched objective): ranks them by
+/// pipeline_candidate_order, drops copies (equal cycles, energy and key —
+/// an extra or seed may duplicate a sampled candidate), keeps the first
+/// `top_k`, and builds the cycles-ascending (cycles, energy) Pareto
+/// frontier over the same deduplicated set, each frontier point the least
+/// key among its ties. `evaluated` is rows.size().
 ///
-/// Cost contract: the ranking sorts compact metric rows, builds a key only
-/// for a row tied on (score, cycles, energy) with another row it must be
-/// ordered against, or for a returned entry, and copies a candidate only
-/// into the returned entries. `keys_built` counts the keys it built.
+/// Cost contract: the ranking sorts the rows, fetches a candidate through
+/// `candidate_at` only to build the key of a row tied on (score, cycles,
+/// energy) with another row it must be ordered against, or for a returned
+/// entry. `keys_built` counts the keys it built.
 struct PipelineRanking {
   std::vector<RankedPipelineCandidate> ranked;
   std::vector<RankedPipelineCandidate> pareto;
@@ -169,9 +197,8 @@ struct PipelineRanking {
   std::size_t keys_built = 0;
 };
 [[nodiscard]] PipelineRanking rank_pipeline_candidates(
-    std::span<const PipelineCandidate> cands,
-    std::span<const EvalOutcome> outcomes, Objective objective,
-    std::size_t top_k);
+    std::vector<PipelineMetricRow> rows,
+    const PipelineCandidateAt& candidate_at, std::size_t top_k);
 
 /// Single-chain convenience overload.
 [[nodiscard]] PipelineSearchResult search_pipeline_mappings(
@@ -230,12 +257,18 @@ struct PipelinePhaseWork {
                                                 const LayerSpec& layer);
 
 /// Lowers a legacy two-phase descriptor into a PipelineCandidate for
-/// `chain_index` (the PP PE split resolved against `num_pes`, matching the
-/// evaluator), keeping the descriptor in `legacy` so the two-phase adapter
-/// can return it bit-identically.
+/// `chain_index`: the binding two_phase_pipeline builds for `df` on
+/// `num_pes` PEs (the PP PE split resolved as the evaluator resolves it),
+/// keeping the descriptor in `legacy` so the two-phase adapter can return
+/// it bit-identically.
 [[nodiscard]] PipelineCandidate lower_two_phase_candidate(
     const DataflowDescriptor& df, std::size_t chain_index,
-    const LayerSpec& layer, std::size_t num_pes);
+    std::size_t num_pes);
+/// lower_two_phase_candidate into `out`, reusing its vectors' capacity.
+void lower_two_phase_candidate_into(const DataflowDescriptor& df,
+                                    std::size_t chain_index,
+                                    std::size_t num_pes,
+                                    PipelineCandidate& out);
 
 /// The Table V seed compositions for a chain (what seed_table5 appends):
 /// per pattern, each phase's dataflow is bound by the pattern's style at

@@ -170,7 +170,7 @@ SearchResult search_mappings(const Omega& omega, const GnnWorkload& workload,
   for (const DataflowDescriptor& df : options.extra_candidates) {
     const std::size_t chain_index = df.phase_order == PhaseOrder::kCA ? 1 : 0;
     popt.extra_candidates.push_back(
-        lower_two_phase_candidate(df, chain_index, layer, pes));
+        lower_two_phase_candidate(df, chain_index, pes));
   }
 
   const PipelineSearchResult pr = search_pipeline_mappings(

@@ -29,7 +29,7 @@ enum class Objective : std::uint8_t {
 /// thread counts — the scalar path is kept alive as the differential
 /// oracle for the batched core (tests/eval_core_test.cpp).
 enum class EvalPath : std::uint8_t {
-  kBatched = 0,  // PipelineEvalPlan::evaluate_batch per parallel block
+  kBatched = 0,  // PipelineEvalPlan::evaluate, streamed per parallel block
   kScalar = 1,   // full Omega::run_pipeline per candidate (the oracle)
 };
 
@@ -45,9 +45,9 @@ struct EvalStats {
   std::uint64_t term_requests = 0;  // phase-term lookups issued
   std::uint64_t term_builds = 0;    // lookups that ran a phase simulation
   std::uint64_t delta_hits = 0;     // lookups served by a per-block L1 slot
-  std::uint64_t batches = 0;        // evaluate_batch calls
+  std::uint64_t batches = 0;  // maximal same-chain runs of a block
   std::uint64_t batched_candidates = 0;  // candidates routed through batches
-  std::uint64_t max_batch = 0;      // largest single batch
+  std::uint64_t max_batch = 0;      // longest single run
   void merge(const EvalStats& other);
 };
 

@@ -19,6 +19,13 @@ bool chunked_inter(InterPhase ip) {
   return ip == InterPhase::kSPGeneric || ip == InterPhase::kParallelPipeline;
 }
 
+// The first phase's share of the PP pair at boundary `bi`: the ratio of
+// the pair's PE fractions, or an even split when the binding gives none.
+double first_share(const PipelineBindingView& b, std::size_t bi) {
+  if (b.pe_fractions.size() != b.phases.size()) return 0.5;
+  return b.pe_fractions[bi] / (b.pe_fractions[bi] + b.pe_fractions[bi + 1]);
+}
+
 std::uint64_t pack_order(const LoopOrder& order) {
   return static_cast<std::uint64_t>(order.at(0)) << 8 |
          static_cast<std::uint64_t>(order.at(1)) << 4 |
@@ -203,14 +210,6 @@ bool TermStore::admit(std::size_t timeline_bytes) const {
   return true;
 }
 
-// SoA batch scratch for N-phase evaluation: flat row-major arrays, one row
-// of phase_count() entries per candidate of the block.
-struct PipelineDeltaState::Scratch {
-  std::vector<PipelineEvalPlan::PhaseTerm> terms;
-  std::vector<std::shared_ptr<const PhaseResult>> results;
-  std::vector<PipelineEvalPlan::CandidateMeta> meta;
-};
-
 std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
     const Omega& omega, const GnnWorkload& workload,
     const PipelineChainSpec& chain, const WorkloadContext& context) {
@@ -279,13 +278,7 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
       });
 }
 
-bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
-                              CandidateMeta* meta) const {
-  // Precheck: exactly the throws Omega::run_pipeline performs before the
-  // engines run (spec validation, substrate capability, PP sanity). Any
-  // failure means the oracle throws on the bound spec -> ok == false.
-  meta->feasible = false;
-  meta->partition_bytes = 0;
+bool PipelineEvalPlan::precheck(const PipelineBindingView& b) const {
   if (!chain_ok_) return false;
   const std::size_t n = statics_.size();
   if (b.phases.size() != n || b.boundaries.size() + 1 != n) return false;
@@ -313,10 +306,6 @@ bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
     if (spatial && !hw_.supports_spatial_reduction) return false;
     if (!spatial && !hw_.supports_temporal_reduction) return false;
   }
-  const auto first_share = [&](std::size_t bi) {
-    if (b.pe_fractions.size() != n) return 0.5;
-    return b.pe_fractions[bi] / (b.pe_fractions[bi] + b.pe_fractions[bi + 1]);
-  };
   for (std::size_t bi = 0; bi + 1 < n; ++bi) {
     const InterPhase ip = b.boundaries[bi];
     switch (ip) {
@@ -347,10 +336,19 @@ bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
     }
     if (ip == InterPhase::kParallelPipeline) {
       if (hw_.num_pes < 2) return false;
-      const double share = first_share(bi);
+      const double share = first_share(b, bi);
       if (!(share > 0.0 && share < 1.0)) return false;
     }
   }
+  return true;
+}
+
+EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
+                                       PipelineDeltaState& state) const {
+  if (!precheck(b)) return {};
+  const std::size_t n = statics_.size();
+  if (state.slots.size() != n) state.slots.assign(n, TermStore::Slot{});
+  std::size_t partition_bytes = 0;
 
   // Per-boundary plan (Table III generalized), mirroring run_pipeline_impl
   // field-for-field; each boundary is derived once and handed to both
@@ -425,8 +423,8 @@ bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
     if (has_down) {
       down = plan_boundary(i);
       if (down.inter == InterPhase::kParallelPipeline) {
-        meta->partition_bytes = std::max(
-            meta->partition_bytes, down.buffer_elements * hw_.element_bytes);
+        partition_bytes = std::max(partition_bytes,
+                                   down.buffer_elements * hw_.element_bytes);
       }
     }
 
@@ -443,7 +441,7 @@ bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
       const std::size_t bi = pp_first ? i : i - 1;
       const std::size_t first = std::clamp<std::size_t>(
           static_cast<std::size_t>(std::llround(
-              static_cast<double>(hw_.num_pes) * first_share(bi))),
+              static_cast<double>(hw_.num_pes) * first_share(b, bi))),
           1, hw_.num_pes - 1);
       pes = pp_first ? first : hw_.num_pes - first;
       bwd = scaled_bandwidth(hw_.distribution_bandwidth, pes, hw_.num_pes);
@@ -463,13 +461,13 @@ bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
     const bool up_chunked = has_up && up.chunked;
     const bool down_chunked = has_down && down.chunked;
 
+    // The phase's engine config, resolved at once: phases resolve in
+    // execution order, so an infeasible phase skips the later builds.
     const PhaseStatic& ps = statics_[i];
-    PhaseTerm& t = terms[i];
-    t = PhaseTerm{};
-    t.graph_tag = ps.graph_tag;
+    bool resolved = false;
     switch (ps.engine) {
       case PhaseEngine::kSparseDense: {
-        SpmmPhaseConfig& cfg = t.spmm;
+        SpmmPhaseConfig cfg;
         cfg.graph = graph_;
         cfg.context = context_;
         cfg.order = b.phases[i].order;
@@ -496,11 +494,11 @@ bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
           cfg.chunks = down.grid;
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
+        resolved = resolve(cfg, ps.graph_tag, i, state);
         break;
       }
       case PhaseEngine::kDenseDense: {
-        t.is_gemm = true;
-        GemmPhaseConfig& cfg = t.gemm;
+        GemmPhaseConfig cfg;
         cfg.context = context_;
         cfg.rows = v_;
         cfg.inner = ps.in_w;
@@ -528,13 +526,14 @@ bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
           cfg.chunks = down.grid;
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
+        resolved = resolve(cfg, i, state);
         break;
       }
       case PhaseEngine::kSparseSparse: {
         // Transposed problem Out^T[G,V] = W^T[G,F] x X^T[F,V] on the
         // plan-owned W^T pattern; loop dims translate G->V, F->N, V->Feat
         // (the vocabulary check above rules out kN).
-        SpmmPhaseConfig& cfg = t.spmm;
+        SpmmPhaseConfig cfg;
         cfg.graph = ps.wcsr.get();
         cfg.context = nullptr;  // the workload context is bound to the graph
         const auto translate = [](Dim d) {
@@ -570,40 +569,44 @@ bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
           cfg.chunks = transpose_chunks(down.grid);
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
+        resolved = resolve(cfg, ps.graph_tag, i, state);
         break;
       }
     }
+    if (!resolved) return {};
     up = down;
     has_up = has_down;
   }
-  meta->feasible = true;
-  return true;
+  return compose(b, state.slots, partition_bytes);
 }
 
-std::shared_ptr<const PhaseResult> PipelineEvalPlan::resolve_phase(
-    const PhaseTerm& term, std::size_t phase_idx,
-    PipelineDeltaState& state) const {
-  if (term.is_gemm) {
-    return store_.resolve(
-        key_of(term.gemm), state.slots[phase_idx],
-        [&] { return run_gemm_phase_shared(term.gemm); },
-        term_timeline_footprint(term.gemm.chunk_target, term.gemm.chunks),
-        state.tally);
-  }
-  EvalTermKey key = key_of(term.spmm);
-  key.w[19] = term.graph_tag;  // which graph: adjacency vs a phase's W^T
-  return store_.resolve(
-      key, state.slots[phase_idx],
-      [&] { return run_spmm_phase_shared(term.spmm); },
-      term_timeline_footprint(term.spmm.chunk_target, term.spmm.chunks),
-      state.tally);
+bool PipelineEvalPlan::resolve(const SpmmPhaseConfig& cfg,
+                               std::uint64_t graph_tag, std::size_t phase_idx,
+                               PipelineDeltaState& state) const {
+  EvalTermKey key = key_of(cfg);
+  key.w[19] = graph_tag;  // which graph: adjacency vs a phase's W^T
+  return store_.resolve(key, state.slots[phase_idx],
+                        [&] { return run_spmm_phase_shared(cfg); },
+                        term_timeline_footprint(cfg.chunk_target, cfg.chunks),
+                        state.tally) != nullptr;
 }
 
-EvalOutcome PipelineEvalPlan::compose(
-    const PipelineBindingView& binding,
-    const std::shared_ptr<const PhaseResult>* results,
-    std::size_t partition_bytes) const {
+bool PipelineEvalPlan::resolve(const GemmPhaseConfig& cfg,
+                               std::size_t phase_idx,
+                               PipelineDeltaState& state) const {
+  return store_.resolve(key_of(cfg), state.slots[phase_idx],
+                        [&] { return run_gemm_phase_shared(cfg); },
+                        term_timeline_footprint(cfg.chunk_target, cfg.chunks),
+                        state.tally) != nullptr;
+}
+
+EvalOutcome PipelineEvalPlan::compose(const PipelineBindingView& binding,
+                                      std::span<const TermStore::Slot> slots,
+                                      std::size_t partition_bytes) const {
   const std::size_t n = statics_.size();
+  const auto result = [&](std::size_t i) -> const PhaseResult& {
+    return *slots[i].term;
+  };
   EvalOutcome out;
   // PP pairs overlap chunk-by-chunk (the consumer starts chunk i once the
   // producer completed it); everything else serializes.
@@ -611,67 +614,20 @@ EvalOutcome PipelineEvalPlan::compose(
   for (std::size_t i = 0; i < n;) {
     if (i + 1 < n && binding.boundaries[i] == InterPhase::kParallelPipeline) {
       out.cycles = sat_add_u64(
-          out.cycles, compose_parallel_pipeline(results[i]->chunk_completion,
-                                                results[i + 1]->chunk_cycles));
+          out.cycles, compose_parallel_pipeline(result(i).chunk_completion,
+                                                result(i + 1).chunk_cycles));
       i += 2;
     } else {
-      out.cycles = sat_add_u64(out.cycles, results[i]->cycles);
+      out.cycles = sat_add_u64(out.cycles, result(i).cycles);
       i += 1;
     }
   }
-  TrafficCounters traffic = results[0]->traffic;
-  for (std::size_t i = 1; i < n; ++i) traffic += results[i]->traffic;
+  TrafficCounters traffic = result(0).traffic;
+  for (std::size_t i = 1; i < n; ++i) traffic += result(i).traffic;
   const EnergyBreakdown e = compute_energy(traffic, em_, partition_bytes);
   out.on_chip_pj = e.on_chip_pj();
   out.ok = true;
   return out;
-}
-
-void PipelineEvalPlan::ensure_state(PipelineDeltaState& state) const {
-  if (state.slots.size() != statics_.size()) {
-    state.slots.assign(statics_.size(), TermStore::Slot{});
-  }
-  if (state.scratch == nullptr) {
-    state.scratch = std::make_shared<PipelineDeltaState::Scratch>();
-  }
-}
-
-void PipelineEvalPlan::evaluate_batch(
-    std::span<const PipelineBindingView> bindings, EvalOutcome* out,
-    PipelineDeltaState& state) const {
-  const std::size_t nb = bindings.size();
-  const std::size_t n = statics_.size();
-  ensure_state(state);
-  PipelineDeltaState::Scratch& s = *state.scratch;
-  s.terms.resize(std::max<std::size_t>(nb * n, 1));
-  s.results.assign(std::max<std::size_t>(nb * n, 1), nullptr);
-  s.meta.resize(std::max<std::size_t>(nb, 1));
-
-  // Pass 1 (derive, SoA): precheck + PE split + boundary plans + N engine
-  // configs per candidate, no simulation.
-  for (std::size_t i = 0; i < nb; ++i) {
-    out[i] = EvalOutcome{};
-    (void)derive(bindings[i], s.terms.data() + i * n, &s.meta[i]);
-  }
-  // Pass 2 (resolve): term lookups over the block. Consecutive candidates
-  // that share phase p's config hit delta slot p without hashing; one
-  // candidate's terms resolve in execution order so an infeasible phase
-  // still skips the later builds.
-  for (std::size_t i = 0; i < nb; ++i) {
-    if (!s.meta[i].feasible) continue;
-    for (std::size_t p = 0; p < n; ++p) {
-      s.results[i * n + p] = resolve_phase(s.terms[i * n + p], p, state);
-      if (s.results[i * n + p] == nullptr) break;
-    }
-  }
-  // Pass 3 (compose): tight loop over the resolved arrays (a null last
-  // phase marks a candidate whose resolve pass short-circuited).
-  for (std::size_t i = 0; i < nb; ++i) {
-    if (!s.meta[i].feasible || n == 0) continue;
-    if (s.results[i * n + n - 1] == nullptr) continue;
-    out[i] = compose(bindings[i], s.results.data() + i * n,
-                     s.meta[i].partition_bytes);
-  }
 }
 
 }  // namespace omega

@@ -33,12 +33,15 @@
 //    (the common case in tiling sweeps: the per-phase tiling cross product
 //    mutates one side at a time) hit the slot without touching the map or
 //    hashing the key.
-//  * evaluate_batch — struct-of-arrays evaluation of a candidate block:
-//    pass 1 derives every candidate's term specs into parallel arrays,
-//    pass 2 resolves terms (L1 slot -> shared map -> simulate), pass 3
-//    composes cycles/energy in a tight loop over the resolved arrays.
+//  * evaluate — one candidate against the plan with O(phases) state: the
+//    precheck, then per phase its engine config (boundary plans and PE
+//    split derived on the way) resolved at once (L1 slot -> shared map ->
+//    simulate), stopping at the first infeasible phase, then the
+//    composition read straight from the slots the resolves filled. A
+//    search streams each parallel block through it candidate by candidate,
+//    so nothing per block is allocated or zero-filled.
 //
-// Parity contract: for every binding, evaluate_batch returns bit-identical
+// Parity contract: for every binding, evaluate returns bit-identical
 // (cycles, on_chip_pj) to Omega::run_pipeline on the bound spec with the
 // same context, and `ok == false` exactly when run_pipeline throws Error;
 // for a lowered two-phase descriptor the same holds against Omega::run.
@@ -201,14 +204,12 @@ class TermStore {
 
 /// Per-evaluation-block working state: one L1 slot per phase POSITION
 /// (consecutive candidates that leave phase i untouched hit slot i without
-/// hashing its key) plus reusable batch scratch. One state per parallel
-/// block — never shared across threads.
+/// hashing its key). After an evaluation, slot i holds that candidate's
+/// phase-i term. One state per parallel block — never shared across
+/// threads.
 struct PipelineDeltaState {
   std::vector<TermStore::Slot> slots;  // sized to the plan's phase count
   TermStore::Tally tally;              // this state's term lookups
-
-  struct Scratch;
-  std::shared_ptr<Scratch> scratch;
 };
 
 /// A per-(workload, substrate, chain) evaluation plan. The plan is keyed by
@@ -234,11 +235,10 @@ class PipelineEvalPlan {
       const Omega& omega, const GnnWorkload& workload,
       const PipelineChainSpec& chain, const WorkloadContext& context);
 
-  /// Struct-of-arrays evaluation of a binding block: writes one EvalOutcome
-  /// per input binding. Outcomes do not depend on the block boundaries or
-  /// on what `state` saw before (see the parity contract above).
-  void evaluate_batch(std::span<const PipelineBindingView> bindings,
-                      EvalOutcome* out, PipelineDeltaState& state) const;
+  /// Evaluates one binding. The outcome does not depend on what `state`
+  /// saw before (see the parity contract above); only the L1 hits do.
+  [[nodiscard]] EvalOutcome evaluate(const PipelineBindingView& binding,
+                                     PipelineDeltaState& state) const;
 
   [[nodiscard]] std::size_t phase_count() const { return statics_.size(); }
 
@@ -259,7 +259,6 @@ class PipelineEvalPlan {
   }
 
  private:
-  friend struct PipelineDeltaState::Scratch;  // scratch holds term arrays
   PipelineEvalPlan() = default;
 
   /// Chain-invariant per-phase facts, resolved once at obtain time.
@@ -275,33 +274,20 @@ class PipelineEvalPlan {
     std::shared_ptr<const CSRGraph> wcsr;  // sparse-weight phases only
   };
 
-  /// One phase's fully derived engine config (the term spec). Exactly one
-  /// of spmm/gemm is meaningful per `is_gemm`; sparse-weight phases derive
-  /// a transposed spmm config like run_pipeline.
-  struct PhaseTerm {
-    bool is_gemm = false;
-    std::uint64_t graph_tag = 0;
-    SpmmPhaseConfig spmm;
-    GemmPhaseConfig gemm;
-  };
-  /// Per-candidate composition inputs. `feasible == false` short-circuits
-  /// the term passes (precheck failed — exactly the throws run_pipeline
-  /// performs before reaching the engines).
-  struct CandidateMeta {
-    bool feasible = false;
-    std::size_t partition_bytes = 0;
-  };
-
-  [[nodiscard]] bool derive(const PipelineBindingView& binding,
-                            PhaseTerm* terms, CandidateMeta* meta) const;
-  [[nodiscard]] std::shared_ptr<const PhaseResult> resolve_phase(
-      const PhaseTerm& term, std::size_t phase_idx,
-      PipelineDeltaState& state) const;
-  [[nodiscard]] EvalOutcome compose(
-      const PipelineBindingView& binding,
-      const std::shared_ptr<const PhaseResult>* results,
-      std::size_t partition_bytes) const;
-  void ensure_state(PipelineDeltaState& state) const;
+  /// The throws Omega::run_pipeline performs before the engines run (spec
+  /// validation, substrate capability, PP sanity): false means the oracle
+  /// throws on the bound spec.
+  [[nodiscard]] bool precheck(const PipelineBindingView& binding) const;
+  /// Resolves one phase term into state.slots[phase_idx]; false when the
+  /// engines reject the config (infeasible).
+  [[nodiscard]] bool resolve(const SpmmPhaseConfig& cfg,
+                             std::uint64_t graph_tag, std::size_t phase_idx,
+                             PipelineDeltaState& state) const;
+  [[nodiscard]] bool resolve(const GemmPhaseConfig& cfg, std::size_t phase_idx,
+                             PipelineDeltaState& state) const;
+  [[nodiscard]] EvalOutcome compose(const PipelineBindingView& binding,
+                                    std::span<const TermStore::Slot> slots,
+                                    std::size_t partition_bytes) const;
 
   // Workload / substrate / chain bindings (all binding-invariant).
   const CSRGraph* graph_ = nullptr;

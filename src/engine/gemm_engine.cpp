@@ -540,16 +540,17 @@ PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
   if (!r.chunk_cycles.empty()) {
     r.chunk_cycles[last_chunk_touched] =
         sat_add_u64(r.chunk_cycles[last_chunk_touched], tail);
-    r.chunk_completion[last_chunk_touched] += tail;
+    r.chunk_completion[last_chunk_touched] =
+        sat_add_u64(r.chunk_completion[last_chunk_touched], tail);
   }
 
   r.cycles = sat_add_u64(r.cycles, r.fill_cycles);
-  r.chunk_cycles.front() += r.fill_cycles;
+  r.chunk_cycles.front() = sat_add_u64(r.chunk_cycles.front(), r.fill_cycles);
   // The pipeline fill delays every completion; never-touched chunks (empty
   // grid cells) complete with their predecessors.
   std::uint64_t floor_cycles = 0;
   for (auto& c : r.chunk_completion) {
-    c += r.fill_cycles;
+    c = sat_add_u64(c, r.fill_cycles);
     floor_cycles = std::max(floor_cycles, c);
     c = std::max(c, floor_cycles);
   }

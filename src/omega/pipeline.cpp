@@ -521,24 +521,30 @@ PipelineSpec two_phase_pipeline(const DataflowDescriptor& df,
   }
   s.boundaries = {df.inter};
   if (df.inter == InterPhase::kParallelPipeline) {
-    double first = ac ? df.pp_agg_pe_fraction : 1.0 - df.pp_agg_pe_fraction;
-    if (num_pes >= 2 && df.pp_agg_pe_fraction > 0.0 &&
-        df.pp_agg_pe_fraction < 1.0) {
-      // Resolve the split the way the historic two-phase model did — round
-      // the AGGREGATION share and give Combination the remainder — then
-      // express it as an exact first-phase share. llround(num_pes * (1-f))
-      // is NOT always num_pes - llround(num_pes * f), so a CA pair fed the
-      // raw complement would drift by one PE on rounding ties.
-      const std::size_t pes_agg = std::clamp<std::size_t>(
-          static_cast<std::size_t>(std::llround(
-              static_cast<double>(num_pes) * df.pp_agg_pe_fraction)),
-          1, num_pes - 1);
-      const std::size_t first_pes = ac ? pes_agg : num_pes - pes_agg;
-      first = static_cast<double>(first_pes) / static_cast<double>(num_pes);
-    }
+    const double first = two_phase_first_pe_fraction(df, num_pes);
     s.pe_fractions = {first, 1.0 - first};
   }
   return s;
+}
+
+double two_phase_first_pe_fraction(const DataflowDescriptor& df,
+                                   std::size_t num_pes) {
+  const bool ac = df.phase_order == PhaseOrder::kAC;
+  if (num_pes >= 2 && df.pp_agg_pe_fraction > 0.0 &&
+      df.pp_agg_pe_fraction < 1.0) {
+    // Resolve the split the way the historic two-phase model did — round
+    // the AGGREGATION share and give Combination the remainder — then
+    // express it as an exact first-phase share. llround(num_pes * (1-f))
+    // is NOT always num_pes - llround(num_pes * f), so a CA pair fed the
+    // raw complement would drift by one PE on rounding ties.
+    const std::size_t pes_agg = std::clamp<std::size_t>(
+        static_cast<std::size_t>(std::llround(static_cast<double>(num_pes) *
+                                              df.pp_agg_pe_fraction)),
+        1, num_pes - 1);
+    const std::size_t first_pes = ac ? pes_agg : num_pes - pes_agg;
+    return static_cast<double>(first_pes) / static_cast<double>(num_pes);
+  }
+  return ac ? df.pp_agg_pe_fraction : 1.0 - df.pp_agg_pe_fraction;
 }
 
 RunResult to_run_result(PipelineResult&& pr, const DataflowDescriptor& df) {

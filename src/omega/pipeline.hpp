@@ -239,6 +239,11 @@ struct PipelineResult {
                                               const LayerSpec& layer = {},
                                               std::size_t num_pes = 0);
 
+/// The first phase's PE fraction two_phase_pipeline gives a PP descriptor
+/// (the second phase gets 1 minus it), resolved against `num_pes` as above.
+[[nodiscard]] double two_phase_first_pe_fraction(const DataflowDescriptor& df,
+                                                 std::size_t num_pes = 0);
+
 /// Collapses a two-phase PipelineResult back into the legacy RunResult view
 /// (requires exactly one kSparseDense and one non-sparse-dense phase).
 /// `df` is echoed into RunResult::dataflow.

@@ -45,11 +45,15 @@ namespace detail {
 
 /// Throws InvalidArgumentError with file/line context when `cond` is false.
 /// Used to validate user-facing inputs; always enabled (not compiled out).
-inline void check(bool cond, const char* expr, const std::string& msg = {},
-                  const std::source_location loc = std::source_location::current()) {
-  if (!cond) detail::throw_check_failure(expr, msg, loc);
-}
-
-#define OMEGA_CHECK(cond, ...) ::omega::check((cond), #cond, ##__VA_ARGS__)
+/// A statement: the optional message arguments (anything std::string can be
+/// brace-initialized from) are evaluated only when the check fails, so hot
+/// validation paths never build their message strings.
+#define OMEGA_CHECK(cond, ...)                                            \
+  do {                                                                    \
+    if (!(cond)) {                                                        \
+      ::omega::detail::throw_check_failure(                               \
+          #cond, std::string{__VA_ARGS__}, std::source_location::current()); \
+    }                                                                     \
+  } while (0)
 
 }  // namespace omega

@@ -17,6 +17,7 @@
 #include "util/saturate.hpp"
 
 #include "engine/gemm_engine.hpp"
+#include "omega/omega.hpp"
 
 namespace omega {
 namespace {
@@ -879,6 +880,41 @@ TEST(GemmEngineTest, GiantNestHasClosedFormMacsAndSteps) {
     std::uint64_t sum = 0;
     for (const std::uint64_t c : r.chunk_cycles) sum += c;
     EXPECT_EQ(sum, r.cycles) << order;
+  }
+}
+
+TEST(GemmEngineTest, SaturatedChunkTimelinesStaySaturated) {
+  // 2^24 x 2^40 x 4 unit tiles on one PE: the cycle count saturates, and
+  // the tail and fill added to the chunk timelines must saturate with it
+  // (DESIGN.md "Overflow contract") instead of wrapping to small stamps
+  // that a PP composition would read as a near-zero makespan. With one
+  // chunk no earlier completion masks a wrapped last one.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::size_t chunks : {std::size_t{4}, std::size_t{1}}) {
+    for (const char* order : {"VFG", "VGF", "GVF", "FVG"}) {
+      SCOPED_TRACE(std::string(order) + " x" + std::to_string(chunks));
+      GemmPhaseConfig cfg;
+      cfg.rows = std::size_t{1} << 24;
+      cfg.inner = std::size_t{1} << 40;
+      cfg.cols = 4;
+      cfg.order = LoopOrder::parse(order, GnnPhase::kCombination);
+      cfg.tiles = {.v = 1, .n = 1, .f = 1, .g = 1};
+      cfg.pes = 1;
+      cfg.chunk_target = ChunkTarget::kMatrixOut;
+      cfg.chunks.rows = cfg.rows;
+      cfg.chunks.cols = cfg.cols;
+      cfg.chunks.row_block = cfg.rows / chunks;
+      const auto r = run_gemm_phase(cfg);
+      EXPECT_EQ(r.cycles, kMax);
+      ASSERT_EQ(r.chunk_completion.size(), chunks);
+      ASSERT_EQ(r.chunk_cycles.size(), chunks);
+      EXPECT_TRUE(std::is_sorted(r.chunk_completion.begin(),
+                                 r.chunk_completion.end()));
+      EXPECT_EQ(r.chunk_completion.back(), r.cycles);
+      for (const std::uint64_t c : r.chunk_cycles) EXPECT_GT(c, 1u);
+      EXPECT_EQ(compose_parallel_pipeline(r.chunk_completion, r.chunk_cycles),
+                kMax);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Batched evaluation core vs the scalar oracle (engine/eval_core.hpp).
 //
 // The parity contract under test: every candidate a search evaluates flows
-// through PipelineEvalPlan::evaluate_batch, which must return bit-identical
+// through PipelineEvalPlan::evaluate, which must return bit-identical
 // (cycles, on_chip_pj) to the scalar oracle through the same
 // WorkloadContext, and ok == false exactly when the oracle throws Error.
 // Two fuzzes walk random base candidates plus single-field mutations (the
@@ -12,8 +12,9 @@
 //  * 3-phase GAT-style bindings (gemm -> spmm -> spgemm) against
 //    Omega::run_pipeline, plus 3-phase bindings built around one
 //    SP-Optimized boundary (gemm -> spmm and spmm -> gemm handoffs).
-// Each population is evaluated at block sizes 1 and 257, reusing one state
-// per chain throughout, so stale slots from an earlier block can never leak
+// Each population is evaluated twice, a cold pass then a warm one, reusing
+// one state per chain throughout, so stale slots from an earlier candidate
+// can never leak
 // into the next. The sharded TermStore is hammered from 8 threads: every
 // admitted key builds once, and the byte budget and entry ceiling hold.
 #include <gtest/gtest.h>
@@ -86,35 +87,23 @@ EvalOutcome pipeline_oracle(const Omega& omega, const GnnWorkload& w,
   return o;
 }
 
-/// Evaluates `cands` through their chains' plans in blocks of at most
-/// `block` same-chain candidates and checks every outcome against `want`
-/// (bit-identical metrics, identical verdicts). Returns the L1 slot hits.
-std::uint64_t expect_batches_match(
+/// Evaluates `cands` through their chains' plans, one state per chain, and
+/// checks every outcome against `want` (bit-identical metrics, identical
+/// verdicts). Returns the L1 slot hits.
+std::uint64_t expect_plans_match(
     std::span<const std::shared_ptr<const PipelineEvalPlan>> plans,
     const std::vector<PipelineCandidate>& cands,
-    const std::vector<EvalOutcome>& want, std::size_t block) {
+    const std::vector<EvalOutcome>& want, const char* pass) {
   std::vector<PipelineDeltaState> states(plans.size());
   std::vector<EvalOutcome> got(cands.size());
   for (std::size_t c = 0; c < plans.size(); ++c) {
-    std::vector<std::size_t> idx;
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (cands[i].chain_index == c) idx.push_back(i);
-    }
-    std::vector<PipelineBindingView> views;
-    std::vector<EvalOutcome> out;
-    for (std::size_t from = 0; from < idx.size(); from += block) {
-      const std::size_t n = std::min(block, idx.size() - from);
-      views.clear();
-      for (std::size_t k = 0; k < n; ++k) {
-        views.push_back(cands[idx[from + k]].view());
-      }
-      out.assign(n, EvalOutcome{});
-      plans[c]->evaluate_batch(views, out.data(), states[c]);
-      for (std::size_t k = 0; k < n; ++k) got[idx[from + k]] = out[k];
+      if (cands[i].chain_index != c) continue;
+      got[i] = plans[c]->evaluate(cands[i].view(), states[c]);
     }
   }
   for (std::size_t i = 0; i < cands.size(); ++i) {
-    SCOPED_TRACE(cands[i].key() + " (block " + std::to_string(block) + ")");
+    SCOPED_TRACE(cands[i].key() + " (" + pass + " pass)");
     EXPECT_EQ(got[i].ok, want[i].ok);
     EXPECT_EQ(got[i].cycles, want[i].cycles);
     EXPECT_EQ(got[i].on_chip_pj, want[i].on_chip_pj);
@@ -170,7 +159,7 @@ struct Verdicts {
 
 /// Lowers every descriptor onto the AC (0) or CA (1) chain exactly as
 /// search_mappings lowers it and checks the batched core against Omega::run
-/// at block sizes 1 and 257. `context` must be fresh (the term-request
+/// in a cold and a warm pass. `context` must be fresh (the term-request
 /// floor below counts from zero).
 Verdicts expect_two_phase_parity(const Omega& omega, const GnnWorkload& w,
                                  const LayerSpec& layer,
@@ -190,15 +179,14 @@ Verdicts expect_two_phase_parity(const Omega& omega, const GnnWorkload& w,
     const EvalOutcome want = two_phase_oracle(omega, w, layer, df, context);
     ++(want.ok ? v.feasible : v.infeasible);
     cands.push_back(lower_two_phase_candidate(
-        df, df.phase_order == PhaseOrder::kCA ? 1 : 0, layer,
+        df, df.phase_order == PhaseOrder::kCA ? 1 : 0,
         omega.config().num_pes));
     expected.push_back(want);
   }
-  for (const std::size_t block : {std::size_t{1}, std::size_t{257}}) {
-    const std::uint64_t hits =
-        expect_batches_match(plans, cands, expected, block);
+  for (const char* pass : {"cold", "warm"}) {
+    const std::uint64_t hits = expect_plans_match(plans, cands, expected, pass);
     if (::testing::Test::HasFailure()) return v;
-    EXPECT_GT(hits, 0u) << "block " << block;
+    EXPECT_GT(hits, 0u) << pass << " pass";
   }
   const std::uint64_t requests =
       plans[0]->term_requests() + plans[1]->term_requests();
@@ -367,8 +355,8 @@ TEST(EvalCoreFuzz, PipelineBindingMutationsMatchRunPipeline) {
   EXPECT_GT(feasible, 100u);
   EXPECT_GT(infeasible, 100u);
 
-  for (const std::size_t block : {std::size_t{1}, std::size_t{257}}) {
-    (void)expect_batches_match(plans, cands, expected, block);
+  for (const char* pass : {"cold", "warm"}) {
+    (void)expect_plans_match(plans, cands, expected, pass);
     ASSERT_FALSE(HasFailure());
   }
   EXPECT_GT(plans[0]->term_requests(), 0u);
@@ -491,8 +479,8 @@ TEST(EvalCoreFuzz, SpOptimizedPipelineBindingsMatchRunPipeline) {
       }
     }
     EXPECT_GT(infeasible, 0u);
-    for (const std::size_t block : {std::size_t{1}, std::size_t{257}}) {
-      (void)expect_batches_match(plans, cands, expected, block);
+    for (const char* pass : {"cold", "warm"}) {
+      (void)expect_plans_match(plans, cands, expected, pass);
       ASSERT_FALSE(HasFailure());
     }
   }

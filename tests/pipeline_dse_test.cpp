@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
@@ -644,6 +646,39 @@ TEST(CandidateSpaceTest, DecodeMatchesDecodeAllAtRandomIndices) {
   }
 }
 
+TEST(CandidateSpaceTest, DecodeIntoADirtyCandidateMatchesDecode) {
+  // One candidate reused across spaces of different shapes, as a sweep
+  // block reuses it: whatever it held (another chain's phases, a legacy
+  // descriptor, PP fractions), decode_into must leave exactly decode(i).
+  const GnnWorkload w = parity_workload();
+  std::mt19937_64 rng(20261020);
+  std::vector<std::unique_ptr<const CandidateSpace>> spaces;
+  for (const char* name : {"AC", "CA", "GAT", "SPO2", "GCN2"}) {
+    const std::size_t pes = std::string(name) == "GCN2" ? 2 : 16;
+    spaces.push_back(std::make_unique<const CandidateSpace>(
+        parity_chain(name), spaces.size(), w, pes, PipelineSearchOptions{}));
+    ASSERT_GT(spaces.back()->size(), 0u) << name;
+  }
+  PipelineCandidate buf = spaces[0]->decode(spaces[0]->size() - 1);
+  ASSERT_TRUE(buf.legacy.has_value());
+  for (int k = 0; k < 2000; ++k) {
+    const CandidateSpace& space = *spaces[rng() % spaces.size()];
+    const std::size_t i = rng() % space.size();
+    space.decode_into(i, buf);
+    ASSERT_TRUE(same_candidate(buf, space.decode(i))) << "draw " << k;
+    if (!buf.legacy) continue;
+    // A classic candidate holds the binding of the spec the scalar oracle
+    // lowers its descriptor to.
+    const PipelineSpec spec = two_phase_pipeline(*buf.legacy, {}, 16);
+    ASSERT_EQ(buf.phases.size(), spec.phases.size());
+    for (std::size_t p = 0; p < spec.phases.size(); ++p) {
+      EXPECT_EQ(buf.phases[p].to_string(), spec.phases[p].dataflow.to_string());
+    }
+    EXPECT_EQ(buf.boundaries, spec.boundaries);
+    EXPECT_EQ(buf.pe_fractions, spec.pe_fractions);
+  }
+}
+
 TEST(CandidateSpaceTest, LegacyEnumeratorDecodesTheAcThenCaSpaces) {
   const GnnWorkload w = parity_workload();
   const LayerSpec layer{4};
@@ -817,6 +852,23 @@ PipelineRanking reference_rank(std::vector<PipelineCandidate> cands,
   return result;
 }
 
+/// rank_pipeline_candidates over a materialized population: the feasible
+/// outcomes as metric rows, the population itself as the accessor.
+PipelineRanking rank_population(const std::vector<PipelineCandidate>& cands,
+                                const std::vector<EvalOutcome>& outcomes,
+                                Objective objective, std::size_t top_k) {
+  std::vector<PipelineMetricRow> rows;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const EvalOutcome& o = outcomes[i];
+    if (!o.ok) continue;
+    rows.push_back({reference_score(objective, o.cycles, o.on_chip_pj),
+                    o.cycles, o.on_chip_pj, i});
+  }
+  return rank_pipeline_candidates(
+      std::move(rows),
+      [&](std::size_t i, PipelineCandidate& out) { out = cands[i]; }, top_k);
+}
+
 void expect_same_entries(const std::vector<RankedPipelineCandidate>& got,
                          const std::vector<RankedPipelineCandidate>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -893,7 +945,7 @@ TEST(RankStageTest, MatchesTheReferenceOnRandomTiedMetrics) {
                      std::to_string(top_k));
         const PipelineRanking want = reference_rank(cands, outs, obj, top_k);
         const PipelineRanking got =
-            rank_pipeline_candidates(cands, outs, obj, top_k);
+            rank_population(cands, outs, obj, top_k);
         EXPECT_EQ(got.evaluated, want.evaluated);
         expect_same_entries(got.ranked, want.ranked);
         expect_same_entries(got.pareto, want.pareto);
@@ -915,14 +967,14 @@ TEST(RankStageTest, DistinctMetricsBuildOnlyTheReturnedKeys) {
     outs[i] = {1000 + i, static_cast<double>(cands.size() - i), true};
   }
   const PipelineRanking got =
-      rank_pipeline_candidates(cands, outs, Objective::kRuntime, 4);
+      rank_population(cands, outs, Objective::kRuntime, 4);
   ASSERT_EQ(got.ranked.size(), 4u);
   // Every point is on the frontier (cycles up, energy down).
   EXPECT_EQ(got.pareto.size(), cands.size());
   EXPECT_EQ(got.keys_built, cands.size());
   for (EvalOutcome& o : outs) o.on_chip_pj = 1.0;
   const PipelineRanking flat =
-      rank_pipeline_candidates(cands, outs, Objective::kRuntime, 4);
+      rank_population(cands, outs, Objective::kRuntime, 4);
   EXPECT_EQ(flat.pareto.size(), 1u);
   EXPECT_EQ(flat.keys_built, 4u);  // ranked entries; the frontier's is one
 }
@@ -972,11 +1024,11 @@ TEST(RankStageTest, SearchesMatchTheReferenceRanking) {
   ASSERT_TRUE(opt.seed_table5);
   const std::vector<PipelineCandidate> population =
       search_population(omega, w, chain, opt);
-  std::vector<PipelineBindingView> views;
-  for (const PipelineCandidate& c : population) views.push_back(c.view());
-  std::vector<EvalOutcome> outs(population.size());
+  std::vector<EvalOutcome> outs;
   PipelineDeltaState state;
-  plan->evaluate_batch(views, outs.data(), state);
+  for (const PipelineCandidate& c : population) {
+    outs.push_back(plan->evaluate(c.view(), state));
+  }
 
   for (const Objective obj : kObjectives) {
     for (const std::size_t top_k : {std::size_t{0}, std::size_t{1},
@@ -996,6 +1048,312 @@ TEST(RankStageTest, SearchesMatchTheReferenceRanking) {
         expect_same_entries(got.ranked, want.ranked);
         expect_same_entries(got.pareto, want.pareto);
         if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+// ---- the streamed search against a serial reference ----------------------
+
+/// What a search reports, computed serially over a materialized population.
+struct ReferenceSearch {
+  PipelineRanking ranking;
+  std::size_t generated = 0;
+  std::size_t pruned = 0;
+  std::uint64_t term_requests = 0;
+  std::uint64_t term_builds = 0;
+  /// L1 hits of a single-block sweep: one state per chain and pass.
+  std::uint64_t delta_hits = 0;
+};
+
+/// The concatenated populations of the chains a search enumerates, each
+/// decoded whole.
+std::vector<PipelineCandidate> decode_enumerated(
+    const Omega& omega, const GnnWorkload& w,
+    const std::vector<PipelineChainSpec>& chains,
+    const PipelineSearchOptions& opt) {
+  const std::size_t enumerated =
+      opt.enumerate_chains == 0 ? chains.size()
+                                : std::min(opt.enumerate_chains, chains.size());
+  std::vector<PipelineCandidate> all;
+  for (std::size_t c = 0; c < enumerated; ++c) {
+    for (PipelineCandidate& cand :
+         CandidateSpace(chains[c], c, w, omega.config().num_pes, opt)
+             .decode_all()) {
+      all.push_back(std::move(cand));
+    }
+  }
+  return all;
+}
+
+/// search_pipeline_mappings written out serially over `all` (what
+/// decode_enumerated returns for these options): stride-sample it, append
+/// the extras and the Table V seeds, order by lower bound and cull when
+/// pruning, evaluate each candidate on a fresh state over a fresh context
+/// (and again on its pass's state per chain, for the L1 hits), and rank
+/// with reference_rank.
+ReferenceSearch reference_search(const Omega& omega, const GnnWorkload& w,
+                                 const std::vector<PipelineChainSpec>& chains,
+                                 const PipelineSearchOptions& opt,
+                                 const std::vector<PipelineCandidate>& all) {
+  const std::size_t pes = omega.config().num_pes;
+  std::vector<PipelineCandidate> extras = opt.extra_candidates;
+  if (opt.seed_table5) {
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+      for (PipelineCandidate& s : table5_pipeline_seeds(omega, w, chains[c], c)) {
+        extras.push_back(std::move(s));
+      }
+    }
+  }
+  ReferenceSearch ref;
+  ref.generated = all.size() + extras.size();
+  const std::size_t total = all.size();
+  const bool capped = opt.max_candidates > 0 && total > opt.max_candidates;
+  const std::size_t sampled = capped ? opt.max_candidates : total;
+  std::vector<PipelineCandidate> population;
+  for (std::size_t i = 0; i < sampled; ++i) {
+    population.push_back(
+        all[capped ? stride_sample_index(i, total, sampled) : i]);
+  }
+  population.insert(population.end(), extras.begin(), extras.end());
+  const std::size_t selected = population.size();
+
+  std::vector<std::size_t> order(selected);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<double> bounds(selected, 0.0);
+  if (opt.prune) {
+    for (std::size_t i = 0; i < sampled; ++i) {
+      const PipelineCandidate& c = population[i];
+      const std::vector<PipelinePhaseWork> work =
+          pipeline_phase_work(chains[c.chain_index], w);
+      const double cycles_lb =
+          static_cast<double>(pipeline_mac_cycle_bound(work, c, pes));
+      const double energy_lb =
+          pipeline_energy_lower_bound(work, omega.energy_model());
+      switch (opt.objective) {
+        case Objective::kRuntime: bounds[i] = cycles_lb; break;
+        case Objective::kEnergy: bounds[i] = energy_lb; break;
+        case Objective::kEnergyDelayProduct:
+          bounds[i] = cycles_lb * energy_lb;
+          break;
+      }
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return bounds[a] < bounds[b];
+                     });
+  }
+
+  const WorkloadContext ctx(w.adjacency);
+  std::vector<std::shared_ptr<const PipelineEvalPlan>> plans;
+  for (const PipelineChainSpec& chain : chains) {
+    plans.push_back(PipelineEvalPlan::obtain(omega, w, chain, ctx));
+  }
+  std::vector<EvalOutcome> outcomes(selected);
+  std::vector<PipelineDeltaState> pass(chains.size());
+  const auto evaluate = [&](std::size_t i) {
+    PipelineDeltaState fresh;
+    const PipelineCandidate& c = population[i];
+    outcomes[i] = plans[c.chain_index]->evaluate(c.view(), fresh);
+    ref.term_requests += fresh.tally.requests;
+    ref.term_builds += fresh.tally.builds;
+    PipelineDeltaState& st = pass[c.chain_index];
+    const std::uint64_t hits = st.tally.delta_hits;
+    (void)plans[c.chain_index]->evaluate(c.view(), st);
+    ref.delta_hits += st.tally.delta_hits - hits;
+  };
+  std::size_t keep = selected;
+  if (opt.prune && selected > 0) {
+    const std::size_t seed =
+        std::min(std::max<std::size_t>(opt.prune_seed, 1), selected);
+    double incumbent = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < seed; ++j) {
+      evaluate(order[j]);
+      const EvalOutcome& o = outcomes[order[j]];
+      if (o.ok) {
+        incumbent = std::min(
+            incumbent, reference_score(opt.objective, o.cycles, o.on_chip_pj));
+      }
+    }
+    keep = seed;
+    pass.assign(chains.size(), PipelineDeltaState{});  // the cull's pass
+    while (keep < selected && bounds[order[keep]] <= incumbent) {
+      evaluate(order[keep++]);
+    }
+  } else {
+    for (std::size_t i = 0; i < selected; ++i) evaluate(i);
+  }
+  ref.pruned = selected - keep;
+  ref.ranking = reference_rank(population, outcomes, opt.objective, opt.top_k);
+  return ref;
+}
+
+void expect_same_points(const std::vector<RankedPipelineCandidate>& got,
+                        const std::vector<RankedPipelineCandidate>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "entry " << i;
+    EXPECT_EQ(got[i].cycles, want[i].cycles) << "entry " << i;
+    EXPECT_EQ(got[i].on_chip_pj, want[i].on_chip_pj) << "entry " << i;
+  }
+}
+
+void expect_same_points(const std::vector<Candidate>& got,
+                        const std::vector<RankedPipelineCandidate>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].dataflow.to_string(), want[i].key) << "entry " << i;
+    EXPECT_EQ(got[i].cycles, want[i].cycles) << "entry " << i;
+    EXPECT_EQ(got[i].on_chip_pj, want[i].on_chip_pj) << "entry " << i;
+  }
+}
+
+TEST(StreamedSearchTest, MatchesTheSerialReference) {
+  AcceleratorConfig hw;
+  hw.num_pes = 64;
+  const Omega omega(hw);
+  const GnnWorkload w = toy_workload();
+  const LayerSpec layer{8};
+
+  // Extras for the GAT chain: copies of sampled candidates (one twice), so
+  // extras duplicate the sample and one another.
+  PipelineSearchOptions gat_base;
+  gat_base.max_candidates = 250;
+  std::vector<PipelineCandidate> gat_extras;
+  {
+    const CandidateSpace space(gat_chain(), 0, w, hw.num_pes, gat_base);
+    for (const std::size_t i : {std::size_t{0}, std::size_t{7},
+                                std::size_t{7}, space.size() - 1}) {
+      gat_extras.push_back(space.decode(
+          stride_sample_index(i % 250, space.size(), 250)));
+    }
+  }
+
+  struct Case {
+    const char* name;
+    std::vector<PipelineChainSpec> chains;
+    PipelineSearchOptions opt;
+  };
+  std::vector<Case> cases;
+  {
+    Case c{"AC+CA", classic_chains(layer, true), {}};
+    c.opt.max_candidates = 300;
+    c.opt.seed_table5 = false;
+    cases.push_back(c);
+    c.name = "AC+CA with seeds and a CA extra";
+    c.opt.seed_table5 = true;
+    const CandidateSpace ca(c.chains[1], 1, w, hw.num_pes, c.opt);
+    c.opt.extra_candidates = {ca.decode(ca.size() / 3)};
+    cases.push_back(c);
+  }
+  {
+    Case c{"GAT extras+seeds", {gat_chain()}, gat_base};
+    c.opt.extra_candidates = gat_extras;
+    c.opt.objective = Objective::kEnergyDelayProduct;
+    cases.push_back(c);
+  }
+
+  std::size_t culled = 0;  // the prune legs must cull something
+  for (Case& c : cases) {
+    const std::vector<PipelineCandidate> all =
+        decode_enumerated(omega, w, c.chains, c.opt);
+    for (const bool prune : {false, true}) {
+      for (const std::size_t top_k :
+           {std::size_t{0}, std::size_t{1}, std::size_t{16}}) {
+        PipelineSearchOptions opt = c.opt;
+        opt.prune = prune;
+        opt.top_k = top_k;
+        const ReferenceSearch want =
+            reference_search(omega, w, c.chains, opt, all);
+        culled += want.pruned;
+        for (const std::size_t threads : {1, 2, 4, 8}) {
+          SCOPED_TRACE(std::string(c.name) + " prune " +
+                       std::to_string(prune) + " top_k " +
+                       std::to_string(top_k) + " threads " +
+                       std::to_string(threads));
+          opt.threads = threads;
+          const PipelineSearchResult got =
+              search_pipeline_mappings(omega, w, c.chains, opt);
+          EXPECT_EQ(got.generated, want.generated);
+          EXPECT_EQ(got.evaluated, want.ranking.evaluated);
+          EXPECT_EQ(got.pruned, want.pruned);
+          EXPECT_EQ(got.eval.term_requests, want.term_requests);
+          EXPECT_EQ(got.eval.term_builds, want.term_builds);
+          // One thread runs each pass as one block.
+          if (threads == 1) {
+            EXPECT_EQ(got.eval.delta_hits, want.delta_hits);
+          }
+          expect_same_points(got.ranked, want.ranking.ranked);
+          expect_same_points(got.pareto, want.ranking.pareto);
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(culled, 0u);
+}
+
+TEST(StreamedSearchTest, SearchMappingsMatchesTheSerialReference) {
+  // The two-phase adapter over AC+CA (include_ca) and with a CA extra on
+  // the bind-only CA chain, against the reference over the chains and
+  // options the adapter hands to the pipeline search.
+  AcceleratorConfig hw;
+  hw.num_pes = 64;
+  const Omega omega(hw);
+  const GnnWorkload w = toy_workload();
+  const LayerSpec layer{8};
+  const std::vector<PipelineChainSpec> chains = classic_chains(layer, true);
+
+  const CandidateSpace ca_space(chains[1], 1, w, hw.num_pes, {});
+  const DataflowDescriptor ca_extra = *ca_space.decode(ca_space.size() / 2).legacy;
+  const CandidateSpace ac_space(chains[0], 0, w, hw.num_pes, {});
+  const DataflowDescriptor ac_extra = *ac_space.decode(3).legacy;
+
+  for (const bool include_ca : {true, false}) {
+    for (const bool prune : {false, true}) {
+      for (const std::size_t top_k :
+           {std::size_t{0}, std::size_t{1}, std::size_t{16}}) {
+        SearchOptions so;
+        so.include_ca = include_ca;
+        so.max_candidates = 300;
+        so.prune = prune;
+        so.top_k = top_k;
+        PipelineSearchOptions po;
+        po.max_candidates = 300;
+        po.prune = prune;
+        po.top_k = top_k;
+        po.seed_table5 = false;
+        if (!include_ca) {
+          // Extras only: an AC copy of a sampled point, and a CA point
+          // evaluated on the bind-only CA chain.
+          so.extra_candidates = {ac_extra, ca_extra};
+          po.enumerate_chains = 1;
+          po.extra_candidates = {
+              lower_two_phase_candidate(ac_extra, 0, hw.num_pes),
+              lower_two_phase_candidate(ca_extra, 1, hw.num_pes)};
+        }
+        const ReferenceSearch want = reference_search(
+            omega, w, chains, po, decode_enumerated(omega, w, chains, po));
+        for (const std::size_t threads : {1, 2, 4, 8}) {
+          SCOPED_TRACE("include_ca " + std::to_string(include_ca) +
+                       " prune " + std::to_string(prune) + " top_k " +
+                       std::to_string(top_k) + " threads " +
+                       std::to_string(threads));
+          so.threads = threads;
+          const SearchResult got = search_mappings(omega, w, layer, so);
+          EXPECT_EQ(got.generated, want.generated);
+          EXPECT_EQ(got.evaluated, want.ranking.evaluated);
+          EXPECT_EQ(got.pruned, want.pruned);
+          EXPECT_EQ(got.eval.term_requests, want.term_requests);
+          EXPECT_EQ(got.eval.term_builds, want.term_builds);
+          // One thread runs each pass as one block.
+          if (threads == 1) {
+            EXPECT_EQ(got.eval.delta_hits, want.delta_hits);
+          }
+          expect_same_points(got.ranked, want.ranking.ranked);
+          expect_same_points(got.pareto, want.ranking.pareto);
+          if (::testing::Test::HasFailure()) return;
+        }
       }
     }
   }

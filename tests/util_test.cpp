@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <source_location>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -241,6 +243,40 @@ TEST(ErrorTest, CheckMacroThrowsWithContext) {
   } catch (const InvalidArgumentError& e) {
     EXPECT_NE(std::string(e.what()).find("custom detail"), std::string::npos);
   }
+}
+
+TEST(ErrorTest, CheckMessageIsBuiltOnlyOnFailure) {
+  int built = 0;
+  const auto message = [&] {
+    ++built;
+    return std::string("detail ") + std::to_string(built);
+  };
+  OMEGA_CHECK(2 == 2, message());
+  OMEGA_CHECK(2 == 2, "prefix " + message());
+  EXPECT_EQ(built, 0);
+
+  // The thrown text: expression, file:line of the check, then the message
+  // (or nothing after the line when the check has none).
+  const std::string file = std::source_location::current().file_name();
+  std::string what;
+  std::uint_least32_t line = 0;
+  try {
+    line = std::source_location::current().line() + 1;
+    OMEGA_CHECK(built == 7, "got " + message());
+  } catch (const InvalidArgumentError& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(built, 1);
+  EXPECT_EQ(what, "check failed: (built == 7) at " + file + ":" +
+                      std::to_string(line) + " — got detail 1");
+  try {
+    line = std::source_location::current().line() + 1;
+    OMEGA_CHECK(built == 7);
+  } catch (const InvalidArgumentError& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "check failed: (built == 7) at " + file + ":" +
+                      std::to_string(line));
 }
 
 // ---- JSON writer/reader -----------------------------------------------------
