@@ -11,7 +11,9 @@
 // PipelineEvalPlan::evaluate per candidate, one state per block and chain),
 // reporting candidates/sec for each, then times the same capped
 // search_mappings warm through its own enumerate/evaluate/rank stage spans,
-// and writes BENCH_dse.json.
+// and writes BENCH_dse.json. A work gate with no wall clock fails the run
+// if a warm repeat search runs a PP recurrence, or a phase simulation while
+// the term store refused nothing.
 //
 // Knobs: OMEGA_DSE_SCALE (R-MAT scale, default 16 => 65536 vertices),
 //        OMEGA_DSE_EDGES (edge budget, default 524288),
@@ -167,13 +169,18 @@ SweepTiming time_sweep(std::size_t n, std::size_t repeat,
 
 /// A warm capped search_mappings (AC + CA) timed whole and per stage
 /// through its own dse trace spans: one untimed warmup on `context`, then
-/// `repeat` timed searches; every figure is the median over them.
+/// `repeat` timed searches; every figure is the median over them. The work
+/// counters sum over the timed searches: on a warm context they must all
+/// be served from the term store and the PP pair memo.
 struct SearchTiming {
   double wall_ms = 0.0;
   double enumerate_ms = 0.0;
   double evaluate_ms = 0.0;
   double rank_ms = 0.0;
   std::size_t evaluated = 0;
+  std::uint64_t term_builds = 0;
+  std::uint64_t pp_lookups = 0;
+  std::uint64_t pp_compositions = 0;
 };
 
 SearchTiming time_warm_search(const Omega& omega, const GnnWorkload& w,
@@ -195,6 +202,9 @@ SearchTiming time_warm_search(const Omega& omega, const GnnWorkload& w,
     if (result.evaluated != t.evaluated) {
       throw Error("warm search repeat diverged from its warmup");
     }
+    t.term_builds += result.eval.term_builds;
+    t.pp_lookups += result.eval.pp_lookups;
+    t.pp_compositions += result.eval.pp_compositions;
     wall.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
     double stage[3] = {0.0, 0.0, 0.0};
     for (const obs::TraceEvent& e : trace.events()) {
@@ -384,7 +394,8 @@ int run_dse_sweep(std::size_t repeat) {
   std::cout << "  (" << context.phase_cache_size() << " phase sims, "
             << eval.terms << " terms ("
             << eval.term_bytes / (1024 * 1024)
-            << " MiB chunked timelines), "
+            << " MiB chunked timelines), " << eval.pp_pairs << " PP pairs ("
+            << eval.pp_compositions << " compositions), "
             << context.schedule_cache_size() << " schedules)\n"
             << "speedup:  " << fixed(speedup, 2)
             << "x scalar vs uncached, " << fixed(batched_vs_scalar, 2)
@@ -393,10 +404,23 @@ int run_dse_sweep(std::size_t repeat) {
             << "parity:   " << (identical ? "bit-identical" : "MISMATCH")
             << "\n";
 
+  // Work gate (deterministic, no wall clock): the timed warm searches
+  // must run no PP recurrence, and no phase simulation unless the term
+  // store refused terms at its timeline budget (those rebuild on every
+  // visit; which ones is schedule-dependent, so their count is reported).
+  const std::uint64_t refusals =
+      plans[0]->term_refusals() + plans[1]->term_refusals();
+  bool gate_ok = search.pp_compositions == 0 &&
+                 (search.term_builds == 0 || refusals > 0);
+  std::cout << "work:     warm search " << search.term_builds
+            << " term builds (" << refusals << " store refusals), "
+            << search.pp_compositions << " of " << search.pp_lookups
+            << " PP lookups composed"
+            << (gate_ok ? "" : " -- WORK GATE FAILED") << "\n";
+
   // CI perf gate: the batched core's quickest repeat must beat the scalar
   // context path's quickest by at least this factor (unset/0 = report only).
   const std::size_t gate = env_or("OMEGA_DSE_GATE_MIN_SPEEDUP", 0);
-  bool gate_ok = true;
   if (gate > 0 && batched_vs_scalar_quickest < static_cast<double>(gate)) {
     std::cout << "PERF GATE FAILED: batched "
               << fixed(batched_vs_scalar_quickest, 2)
@@ -424,6 +448,9 @@ int run_dse_sweep(std::size_t repeat) {
               static_cast<std::uint64_t>(context.phase_cache_size()));
     jw.member("terms", eval.terms);
     jw.member("term_timeline_bytes", eval.term_bytes);
+    jw.member("term_refusals", refusals);
+    jw.member("pp_pairs", eval.pp_pairs);
+    jw.member("pp_compositions", eval.pp_compositions);
     jw.member("threads", static_cast<std::uint64_t>(default_thread_count()));
     const auto emit_timing = [&](const char* name, const SweepTiming& t) {
       jw.key(name).begin_object();
@@ -441,6 +468,11 @@ int run_dse_sweep(std::size_t repeat) {
     jw.member("enumerate", search.enumerate_ms);
     jw.member("evaluate", search.evaluate_ms);
     jw.member("rank", search.rank_ms);
+    jw.end_object();
+    jw.key("search_warm_work").begin_object();
+    jw.member("term_builds", search.term_builds);
+    jw.member("pp_lookups", search.pp_lookups);
+    jw.member("pp_compositions", search.pp_compositions);
     jw.end_object();
     jw.member("speedup", speedup);
     jw.member("batched_speedup_vs_scalar", batched_vs_scalar);

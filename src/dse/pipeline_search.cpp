@@ -612,6 +612,8 @@ PipelineSearchResult search_pipeline_mappings(
   std::atomic<std::uint64_t> term_requests{0};
   std::atomic<std::uint64_t> term_builds{0};
   std::atomic<std::uint64_t> delta_hits{0};
+  std::atomic<std::uint64_t> pp_lookups{0};
+  std::atomic<std::uint64_t> pp_compositions{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> batched_candidates{0};
   std::atomic<std::uint64_t> max_batch{0};
@@ -679,6 +681,10 @@ PipelineSearchResult search_pipeline_mappings(
             term_builds.fetch_add(st.tally.builds, std::memory_order_relaxed);
             delta_hits.fetch_add(st.tally.delta_hits,
                                  std::memory_order_relaxed);
+            pp_lookups.fetch_add(st.tally.pp_lookups,
+                                 std::memory_order_relaxed);
+            pp_compositions.fetch_add(st.tally.pp_compositions,
+                                      std::memory_order_relaxed);
           }
         },
         options.threads);
@@ -713,12 +719,18 @@ PipelineSearchResult search_pipeline_mappings(
     result.eval.batched_candidates =
         batched_candidates.load(std::memory_order_relaxed);
     result.eval.max_batch = max_batch.load(std::memory_order_relaxed);
+    result.eval.pp_lookups = pp_lookups.load(std::memory_order_relaxed);
+    result.eval.pp_compositions =
+        pp_compositions.load(std::memory_order_relaxed);
   }
   span->arg("pruned", result.pruned);
   span->arg("term_builds", result.eval.term_builds);
   // Term requests that missed the per-block L1 slot and went to the store.
   span->arg("map_lookups",
             result.eval.term_requests - result.eval.delta_hits);
+  // PP segments composed, and those the pair memo missed (recurrences run).
+  span->arg("pp_lookups", result.eval.pp_lookups);
+  span->arg("pp_compositions", result.eval.pp_compositions);
   span.reset();
 
   span.emplace(options.trace, "rank", "dse");

@@ -33,6 +33,8 @@ void EvalStats::merge(const EvalStats& other) {
   batches += other.batches;
   batched_candidates += other.batched_candidates;
   max_batch = std::max(max_batch, other.max_batch);
+  pp_lookups += other.pp_lookups;
+  pp_compositions += other.pp_compositions;
 }
 
 const Candidate& SearchResult::best() const {

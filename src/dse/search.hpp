@@ -48,6 +48,8 @@ struct EvalStats {
   std::uint64_t batches = 0;  // maximal same-chain runs of a block
   std::uint64_t batched_candidates = 0;  // candidates routed through batches
   std::uint64_t max_batch = 0;      // longest single run
+  std::uint64_t pp_lookups = 0;       // PP segments composed
+  std::uint64_t pp_compositions = 0;  // of which ran the per-chunk recurrence
   void merge(const EvalStats& other);
 };
 

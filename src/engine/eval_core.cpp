@@ -8,7 +8,6 @@
 #include "dataflow/descriptor.hpp"
 #include "omega/pipeline.hpp"
 #include "util/error.hpp"
-#include "util/once.hpp"
 #include "util/saturate.hpp"
 
 namespace omega {
@@ -123,68 +122,6 @@ std::size_t term_timeline_footprint(ChunkTarget target,
 
 }  // namespace
 
-std::shared_ptr<const PhaseResult> TermStore::resolve(
-    const EvalTermKey& key, Slot& slot,
-    const std::function<std::shared_ptr<const PhaseResult>()>& build,
-    std::size_t timeline_bytes, Tally& tally) const {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  ++tally.requests;
-  if (slot.valid && slot.key == key) {
-    ++tally.delta_hits;
-    return slot.term;
-  }
-  // High hash bits pick the shard; the map buckets on the whole hash.
-  const std::size_t hash = EvalTermKeyHash{}(key);
-  Shard& shard =
-      shards_[hash >> (std::numeric_limits<std::size_t>::digits - kShardBits)];
-  std::shared_ptr<TermEntry> entry;
-  bool overflow = false;
-  {
-    const std::scoped_lock lock(shard.mutex);
-    const auto it = shard.terms.find(key);
-    if (it != shard.terms.end()) {
-      entry = it->second;
-    } else if (!admit(timeline_bytes)) {
-      // Entry ceiling (same policy as the context phase memo) or the
-      // chunked-timeline byte budget is exhausted: build uncached. The
-      // results are identical either way — only revisit cost differs.
-      overflow = true;
-    } else {
-      entry = std::make_shared<TermEntry>();
-      shard.terms.emplace(key, entry);
-    }
-  }
-  std::shared_ptr<const PhaseResult> term;
-  if (overflow) {
-    builds_.fetch_add(1, std::memory_order_relaxed);
-    ++tally.builds;
-    try {
-      term = build();
-    } catch (const Error&) {
-      term = nullptr;
-    }
-  } else {
-    call_once_caching(entry->once, entry->error, [&] {
-      builds_.fetch_add(1, std::memory_order_relaxed);
-      ++tally.builds;
-      try {
-        entry->result = build();
-      } catch (const Error&) {
-        // Leave result null: the config is infeasible (engine validate
-        // threw), cached so revisits fail without re-simulating. Exactly
-        // the candidates on which the scalar oracle throws. Anything else
-        // (bad_alloc, logic bugs) is memoized by call_once_caching and
-        // rethrown to every caller.
-      }
-    });
-    term = entry->result;
-  }
-  slot.key = key;
-  slot.term = term;
-  slot.valid = true;
-  return term;
-}
-
 namespace {
 
 // Adds `amount` to `counter` unless that would pass `limit`; the
@@ -201,6 +138,23 @@ bool reserve(std::atomic<std::size_t>& counter, std::size_t amount,
 
 }  // namespace
 
+std::shared_ptr<TermStore::TermEntry> TermStore::find_or_admit(
+    const EvalTermKey& key, std::size_t timeline_bytes) const {
+  Shard& shard = shard_of(EvalTermKeyHash{}(key));
+  const std::scoped_lock lock(shard.mutex);
+  const auto it = shard.terms.find(key);
+  if (it != shard.terms.end()) return it->second;
+  // Entry ceiling (same policy as the context phase memo) or the
+  // chunked-timeline byte budget exhausted: the caller builds uncached.
+  if (!admit(timeline_bytes)) {
+    refusals_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  auto entry = std::make_shared<TermEntry>();
+  shard.terms.emplace(key, entry);
+  return entry;
+}
+
 bool TermStore::admit(std::size_t timeline_bytes) const {
   if (!reserve(size_, 1, kPhaseMemoMaxEntries)) return false;
   if (!reserve(timeline_bytes_, timeline_bytes, kTermTimelineBudgetBytes)) {
@@ -208,6 +162,27 @@ bool TermStore::admit(std::size_t timeline_bytes) const {
     return false;
   }
   return true;
+}
+
+std::uint64_t TermStore::compose_pp(const Slot& producer, const Slot& consumer,
+                                    Tally& tally) const {
+  ++tally.pp_lookups;
+  const EvalPairKey key{producer.key, consumer.key};
+  Shard& shard = shard_of(EvalTermKeyHash{}(key));
+  {
+    const std::scoped_lock lock(shard.mutex);
+    const auto it = shard.pairs.find(key);
+    if (it != shard.pairs.end()) return it->second;
+  }
+  pp_compositions_.fetch_add(1, std::memory_order_relaxed);
+  ++tally.pp_compositions;
+  const std::uint64_t cycles = compose_parallel_pipeline(
+      producer.term->chunk_completion, consumer.term->chunk_cycles);
+  const std::scoped_lock lock(shard.mutex);
+  if (!shard.pairs.contains(key) && reserve(pairs_, 1, kPhaseMemoMaxEntries)) {
+    shard.pairs.emplace(key, cycles);
+  }
+  return cycles;
 }
 
 std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
@@ -351,13 +326,15 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
   std::size_t partition_bytes = 0;
 
   // Per-boundary plan (Table III generalized), mirroring run_pipeline_impl
-  // field-for-field; each boundary is derived once and handed to both
-  // adjacent phases.
+  // for every field a term or the composition reads; each boundary is
+  // derived once and handed to both adjacent phases. Only a PP boundary
+  // gets a chunk grid: the composition reads no other timeline, and the
+  // engines' cycles and traffic do not depend on the grid, so an SP-Generic
+  // phase resolves to its grid-free term (see the header).
   struct BoundaryPlan {
     InterPhase inter = InterPhase::kSequential;
-    ChunkSpec grid;
-    std::size_t buffer_elements = 0;
-    bool chunked = false;
+    ChunkSpec grid;  // PP only: the grid both phases of the pair stage
+    std::size_t partition_bytes = 0;  // PP only: the ping-pong partition
     bool spilled = false;
   };
   const auto plan_boundary = [&](std::size_t bi) {
@@ -365,10 +342,8 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
     bp.inter = b.boundaries[bi];
     const std::size_t rows = v_;
     const std::size_t cols = statics_[bi].out_w;
-    bp.grid = ChunkSpec::whole(rows, cols);
-    std::size_t pel = 0;
-    if (bp.inter != InterPhase::kSequential &&
-        bp.inter != InterPhase::kSPOptimized) {
+    if (bp.inter == InterPhase::kParallelPipeline) {
+      bp.grid = ChunkSpec::whole(rows, cols);
       const HandoffRole prod_role =
           phase_producer_role(statics_[bi].engine, b.phases[bi].order);
       const HandoffRole cons_role = phase_consumer_role(
@@ -383,6 +358,7 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
           std::min(std::max(b.phases[bi].tiles.get(prod_role.col),
                             b.phases[bi + 1].tiles.get(cons_role.col)),
                    cols);
+      std::size_t pel = 0;
       switch (a.granularity) {
         case Granularity::kElement:
           bp.grid.row_block = t_row;
@@ -400,14 +376,8 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
         case Granularity::kNone:
           break;
       }
+      bp.partition_bytes = 2 * pel * hw_.element_bytes;
     }
-    switch (bp.inter) {
-      case InterPhase::kSequential: bp.buffer_elements = rows * cols; break;
-      case InterPhase::kSPGeneric: bp.buffer_elements = pel; break;
-      case InterPhase::kSPOptimized: bp.buffer_elements = 0; break;
-      case InterPhase::kParallelPipeline: bp.buffer_elements = 2 * pel; break;
-    }
-    bp.chunked = chunked_inter(bp.inter);
     const std::uint64_t int_bytes =
         sat_mul_u64(sat_mul_u64(rows, cols), hw_.element_bytes);
     bp.spilled =
@@ -422,10 +392,7 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
     const bool has_down = i + 1 < n;
     if (has_down) {
       down = plan_boundary(i);
-      if (down.inter == InterPhase::kParallelPipeline) {
-        partition_bytes = std::max(partition_bytes,
-                                   down.buffer_elements * hw_.element_bytes);
-      }
+      partition_bytes = std::max(partition_bytes, down.partition_bytes);
     }
 
     // PE / bandwidth allocation: the phase's PP pair or the whole array.
@@ -458,8 +425,6 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
         has_up ? TrafficCategory::kIntermediate : TrafficCategory::kInput;
     const TrafficCategory out_cat =
         has_down ? TrafficCategory::kIntermediate : TrafficCategory::kOutput;
-    const bool up_chunked = has_up && up.chunked;
-    const bool down_chunked = has_down && down.chunked;
 
     // The phase's engine config, resolved at once: phases resolve in
     // execution order, so an infeasible phase skips the later builds.
@@ -487,10 +452,10 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
         cfg.out_in_dram = out_in_dram;
         cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
         cfg.out_via_partition = out_via_partition;
-        if (up_chunked) {
+        if (pp_second) {
           cfg.chunks = up.grid;
           cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (down_chunked) {
+        } else if (pp_first) {
           cfg.chunks = down.grid;
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
@@ -519,10 +484,10 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
         cfg.out_in_dram = out_in_dram;
         cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
         cfg.out_via_partition = out_via_partition;
-        if (up_chunked) {
+        if (pp_second) {
           cfg.chunks = up.grid;
           cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (down_chunked) {
+        } else if (pp_first) {
           cfg.chunks = down.grid;
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
@@ -565,7 +530,7 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
         // A chunked upstream boundary is rejected above (sparse-weight
         // phases cannot consume chunked intermediates), so only the
         // producer side can stage chunks — through the transposed grid.
-        if (down_chunked) {
+        if (pp_first) {
           cfg.chunks = transpose_chunks(down.grid);
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
@@ -577,7 +542,7 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
     up = down;
     has_up = has_down;
   }
-  return compose(b, state.slots, partition_bytes);
+  return compose(b, state, partition_bytes);
 }
 
 bool PipelineEvalPlan::resolve(const SpmmPhaseConfig& cfg,
@@ -601,21 +566,22 @@ bool PipelineEvalPlan::resolve(const GemmPhaseConfig& cfg,
 }
 
 EvalOutcome PipelineEvalPlan::compose(const PipelineBindingView& binding,
-                                      std::span<const TermStore::Slot> slots,
+                                      PipelineDeltaState& state,
                                       std::size_t partition_bytes) const {
   const std::size_t n = statics_.size();
+  const std::vector<TermStore::Slot>& slots = state.slots;
   const auto result = [&](std::size_t i) -> const PhaseResult& {
     return *slots[i].term;
   };
   EvalOutcome out;
   // PP pairs overlap chunk-by-chunk (the consumer starts chunk i once the
-  // producer completed it); everything else serializes.
+  // producer completed it), through the store's pair memo; everything else
+  // serializes.
   out.cycles = 0;
   for (std::size_t i = 0; i < n;) {
     if (i + 1 < n && binding.boundaries[i] == InterPhase::kParallelPipeline) {
       out.cycles = sat_add_u64(
-          out.cycles, compose_parallel_pipeline(result(i).chunk_completion,
-                                                result(i + 1).chunk_cycles));
+          out.cycles, store_.compose_pp(slots[i], slots[i + 1], state.tally));
       i += 2;
     } else {
       out.cycles = sat_add_u64(out.cycles, result(i).cycles);

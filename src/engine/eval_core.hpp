@@ -27,6 +27,19 @@
 // energy model + chain), so repeated searches over one workload reuse all
 // terms across calls.
 //
+// Only PP boundaries get a chunk grid. The composition reads chunk
+// timelines at a PP boundary alone, and the engines' cycles and traffic do
+// not depend on the grid (only chunk_cycles/chunk_completion do), so an
+// SP-Generic phase is resolved grid-free: it shares its key and its one
+// build with its grid-free twin (an unspilled Sequential boundary's term),
+// walks no chunks and holds no timeline. Omega::run_pipeline keeps the
+// SP-Generic grid, because schedule traces render its chunk slices.
+//
+// A PP segment's composed cycles depend only on its two terms, so the
+// store also memoizes compose_parallel_pipeline per (producer key,
+// consumer key) pair: a warm repeat of a sweep runs no O(chunks)
+// recurrence.
+//
 // Two access tiers sit above the shared map:
 //  * PipelineDeltaState — a per-evaluation-block L1: the last term per
 //    chain position. Neighboring candidates that leave one phase untouched
@@ -54,9 +67,9 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,6 +79,8 @@
 #include "engine/spmm_engine.hpp"
 #include "omega/omega.hpp"
 #include "omega/pipeline.hpp"
+#include "util/error.hpp"
+#include "util/once.hpp"
 
 namespace omega {
 
@@ -97,28 +112,45 @@ struct EvalTermKey {
 /// per-block L1 slot is then their only cache).
 inline constexpr std::size_t kTermTimelineBudgetBytes = 512ull << 20;
 
+/// A PP segment's identity: its producer's and its consumer's term keys.
+struct EvalPairKey {
+  EvalTermKey producer;
+  EvalTermKey consumer;
+  [[nodiscard]] bool operator==(const EvalPairKey&) const = default;
+};
+
 struct EvalTermKeyHash {
   [[nodiscard]] std::size_t operator()(const EvalTermKey& k) const noexcept {
-    // FNV-1a over the words; the fields are small integers, so the byte-wise
-    // avalanche matters more than speed here (the map is behind the L1).
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    return static_cast<std::size_t>(fnv(k, kFnvOffset));
+  }
+  [[nodiscard]] std::size_t operator()(const EvalPairKey& k) const noexcept {
+    return static_cast<std::size_t>(
+        fnv(k.consumer, fnv(k.producer, kFnvOffset)));
+  }
+
+ private:
+  static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+  // FNV-1a over the words; the fields are small integers, so the byte-wise
+  // avalanche matters more than speed here (the map is behind the L1).
+  static std::uint64_t fnv(const EvalTermKey& k, std::uint64_t h) noexcept {
     for (const std::uint64_t w : k.w) {
       h ^= w;
       h *= 0x100000001b3ull;
     }
-    return static_cast<std::size_t>(h);
+    return h;
   }
 };
 
 /// The shared term memo behind an evaluation plan: a POD-keyed map of
-/// once-built phase results, the chunked-timeline byte budget, and the
-/// request/build counters. Thread-safe; one store per plan.
+/// once-built phase results, the chunked-timeline byte budget, the PP pair
+/// memo, and the request/build counters. Thread-safe; one store per plan.
 ///
-/// Sharding: the map is split into kShards {mutex, map} shards selected by
-/// the high bits of EvalTermKeyHash, so concurrent sweep threads contend
-/// only when their keys land in one shard. A shard lock covers the lookup
-/// and the insert of a new entry, never a build: each entry builds at most
-/// once through its own once-flag (call_once_caching), outside any lock.
+/// Sharding: the maps are split into kShards {mutex, terms, pairs} shards
+/// selected by the high bits of EvalTermKeyHash, so concurrent sweep
+/// threads contend only when their keys land in one shard. A shard lock
+/// covers a lookup and the insert of a new entry, never a build or a
+/// composition: each term entry builds at most once through its own
+/// once-flag (call_once_caching), outside any lock.
 ///
 /// Admission by reservation: the entry count and the admitted timeline
 /// bytes are store-wide atomics. A new key is admitted only if it can
@@ -128,6 +160,16 @@ struct EvalTermKeyHash {
 /// limits whatever the thread schedule. A key refused by either limit is
 /// built uncached (identical result; only revisit cost differs). Near a
 /// limit, which keys win admission depends on the schedule.
+///
+/// PP pair memo: compose_pp maps (producer key, consumer key) to
+/// compose_parallel_pipeline(producer.chunk_completion,
+/// consumer.chunk_cycles). A term's result depends only on its key, so the
+/// value depends only on the pair and no thread schedule can change it. A
+/// missed pair is composed outside the lock and then admitted by the same
+/// compare-exchange reservation, under its own kPhaseMemoMaxEntries
+/// ceiling; a refused pair is composed uncached on every visit. Two
+/// threads missing one pair at once both compose it (the count of
+/// recurrences run is therefore not schedule-free); one insert wins.
 class TermStore {
  public:
   /// A caller-owned L1 entry: the last term resolved at one term position.
@@ -146,18 +188,63 @@ class TermStore {
     std::uint64_t requests = 0;    // resolve calls
     std::uint64_t builds = 0;      // calls that ran the phase simulation
     std::uint64_t delta_hits = 0;  // calls served by the caller's L1 slot
+    std::uint64_t pp_lookups = 0;  // compose_pp calls
+    std::uint64_t pp_compositions = 0;  // compose_pp calls that recurred
   };
 
-  /// Resolves a term through (L1 slot -> map -> build). `timeline_bytes
-  /// == 0` marks a small-grid term (always admitted, like the legacy
-  /// engine memo); nonzero is the estimated footprint of a chunked term's
-  /// timelines, admitted against kTermTimelineBudgetBytes. `slot` is the
-  /// caller's per-block L1 for this term position; `tally` counts this
-  /// call into the caller's share.
+  /// Resolves a term through (L1 slot -> map -> build). `build` is any
+  /// callable returning std::shared_ptr<const PhaseResult>; it runs only
+  /// on a miss. `timeline_bytes == 0` marks a small-grid term (always
+  /// admitted, like the legacy engine memo); nonzero is the estimated
+  /// footprint of a chunked term's timelines, admitted against
+  /// kTermTimelineBudgetBytes. `slot` is the caller's per-block L1 for this
+  /// term position; `tally` counts this call into the caller's share.
+  template <typename Build>
   [[nodiscard]] std::shared_ptr<const PhaseResult> resolve(
-      const EvalTermKey& key, Slot& slot,
-      const std::function<std::shared_ptr<const PhaseResult>()>& build,
-      std::size_t timeline_bytes, Tally& tally) const;
+      const EvalTermKey& key, Slot& slot, const Build& build,
+      std::size_t timeline_bytes, Tally& tally) const {
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    ++tally.requests;
+    if (slot.valid && slot.key == key) {
+      ++tally.delta_hits;
+      return slot.term;
+    }
+    const auto run = [&]() -> std::shared_ptr<const PhaseResult> {
+      builds_.fetch_add(1, std::memory_order_relaxed);
+      ++tally.builds;
+      try {
+        return build();
+      } catch (const Error&) {
+        // Null: the config is infeasible (engine validate threw) —
+        // exactly the candidates on which the scalar oracle throws.
+        // Anything else (bad_alloc, logic bugs) escapes; a memo entry
+        // memoizes it through call_once_caching and rethrows it to every
+        // caller.
+        return nullptr;
+      }
+    };
+    const std::shared_ptr<TermEntry> entry = find_or_admit(key, timeline_bytes);
+    if (entry == nullptr) {
+      // Refused by a limit: build uncached (identical result; only
+      // revisit cost differs).
+      slot.term = run();
+    } else {
+      call_once_caching(entry->once, entry->error,
+                        [&] { entry->result = run(); });
+      slot.term = entry->result;
+    }
+    slot.key = key;
+    slot.valid = true;
+    return slot.term;
+  }
+
+  /// The composed cycles of a PP segment whose two resolved slots are
+  /// `producer` and `consumer` (both non-null terms on one chunk grid):
+  /// compose_parallel_pipeline(producer.term->chunk_completion,
+  /// consumer.term->chunk_cycles), memoized by the pair of slot keys.
+  [[nodiscard]] std::uint64_t compose_pp(const Slot& producer,
+                                         const Slot& consumer,
+                                         Tally& tally) const;
 
   /// Distinct admitted keys (exact whenever no resolve is in flight).
   [[nodiscard]] std::size_t size() const {
@@ -169,10 +256,22 @@ class TermStore {
   [[nodiscard]] std::uint64_t builds() const {
     return builds_.load(std::memory_order_relaxed);
   }
+  /// Misses on new keys that a limit refused (each built uncached).
+  [[nodiscard]] std::uint64_t refusals() const {
+    return refusals_.load(std::memory_order_relaxed);
+  }
   /// Estimated bytes of chunked-term timelines admitted against
   /// kTermTimelineBudgetBytes (small-grid terms are not counted).
   [[nodiscard]] std::size_t timeline_bytes() const {
     return timeline_bytes_.load(std::memory_order_relaxed);
+  }
+  /// Distinct PP pairs admitted to the pair memo.
+  [[nodiscard]] std::size_t pp_pairs() const {
+    return pairs_.load(std::memory_order_relaxed);
+  }
+  /// compose_pp calls that ran the O(chunks) recurrence (pair-memo misses).
+  [[nodiscard]] std::uint64_t pp_compositions() const {
+    return pp_compositions_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -191,15 +290,29 @@ class TermStore {
     std::unordered_map<EvalTermKey, std::shared_ptr<TermEntry>,
                        EvalTermKeyHash>
         terms;  // guarded by mutex
+    std::unordered_map<EvalPairKey, std::uint64_t, EvalTermKeyHash>
+        pairs;  // guarded by mutex: PP pair -> composed cycles
   };
 
+  /// High hash bits pick the shard; the maps bucket on the whole hash.
+  [[nodiscard]] Shard& shard_of(std::size_t hash) const {
+    return shards_[hash >> (std::numeric_limits<std::size_t>::digits -
+                            kShardBits)];
+  }
+  /// The entry of `key`, inserted if it can be admitted; null when a limit
+  /// refuses a new key.
+  [[nodiscard]] std::shared_ptr<TermEntry> find_or_admit(
+      const EvalTermKey& key, std::size_t timeline_bytes) const;
   [[nodiscard]] bool admit(std::size_t timeline_bytes) const;
 
   mutable std::array<Shard, kShards> shards_;
   mutable std::atomic<std::size_t> size_{0};
   mutable std::atomic<std::size_t> timeline_bytes_{0};
+  mutable std::atomic<std::size_t> pairs_{0};
   mutable std::atomic<std::uint64_t> requests_{0};
   mutable std::atomic<std::uint64_t> builds_{0};
+  mutable std::atomic<std::uint64_t> refusals_{0};
+  mutable std::atomic<std::uint64_t> pp_compositions_{0};
 };
 
 /// Per-evaluation-block working state: one L1 slot per phase POSITION
@@ -250,12 +363,25 @@ class PipelineEvalPlan {
   }
   /// Term lookups that had to run a phase simulation (memo misses).
   [[nodiscard]] std::uint64_t term_builds() const { return store_.builds(); }
+  /// Term misses refused admission by the entry ceiling or the timeline
+  /// budget; a refused term rebuilds on every miss, warm or cold.
+  [[nodiscard]] std::uint64_t term_refusals() const {
+    return store_.refusals();
+  }
   /// Estimated bytes of chunked-term timelines resident in the term store.
   /// NOT deterministic near the admission budget (which candidate's
   /// timeline wins admission at saturation depends on thread schedule), so
   /// this feeds metrics/CLI output only — never goldened responses.
   [[nodiscard]] std::size_t term_timeline_bytes() const {
     return store_.timeline_bytes();
+  }
+  /// Distinct PP pairs whose composed cycles the plan holds.
+  [[nodiscard]] std::size_t pp_pairs() const { return store_.pp_pairs(); }
+  /// PP compositions that ran the per-chunk recurrence (pair-memo misses;
+  /// schedule-dependent when two threads miss one pair at once, so
+  /// metrics-only like term_timeline_bytes).
+  [[nodiscard]] std::uint64_t pp_compositions() const {
+    return store_.pp_compositions();
   }
 
  private:
@@ -286,7 +412,7 @@ class PipelineEvalPlan {
   [[nodiscard]] bool resolve(const GemmPhaseConfig& cfg, std::size_t phase_idx,
                              PipelineDeltaState& state) const;
   [[nodiscard]] EvalOutcome compose(const PipelineBindingView& binding,
-                                    std::span<const TermStore::Slot> slots,
+                                    PipelineDeltaState& state,
                                     std::size_t partition_bytes) const;
 
   // Workload / substrate / chain bindings (all binding-invariant).

@@ -92,9 +92,10 @@ struct GemmPhaseConfig {
 [[nodiscard]] std::shared_ptr<const PhaseResult> run_gemm_phase_shared(
     const GemmPhaseConfig& cfg);
 
-/// ceil(a / b) with b >= 1.
+/// ceil(a / b) with b >= 1; exact for every a (a saturated UINT64_MAX
+/// operand must not wrap to a small quotient).
 [[nodiscard]] constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
-  return (a + b - 1) / b;
+  return a / b + (a % b != 0 ? 1 : 0);
 }
 
 }  // namespace omega

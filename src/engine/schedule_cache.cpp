@@ -151,14 +151,27 @@ ContextEvalStats WorkloadContext::eval_stats() const {
     }
   }
   ContextEvalStats s;
-  s.plans = plans.size();
   for (const auto& p : plans) {
-    s.terms += p->term_count();
-    s.term_requests += p->term_requests();
-    s.term_builds += p->term_builds();
-    s.term_bytes = sat_add_u64(s.term_bytes, p->term_timeline_bytes());
+    s += {.plans = 1,
+          .terms = p->term_count(),
+          .term_requests = p->term_requests(),
+          .term_builds = p->term_builds(),
+          .term_bytes = p->term_timeline_bytes(),
+          .pp_pairs = p->pp_pairs(),
+          .pp_compositions = p->pp_compositions()};
   }
   return s;
+}
+
+ContextEvalStats& ContextEvalStats::operator+=(const ContextEvalStats& o) {
+  plans += o.plans;
+  terms += o.terms;
+  term_requests += o.term_requests;
+  term_builds += o.term_builds;
+  term_bytes = sat_add_u64(term_bytes, o.term_bytes);
+  pp_pairs += o.pp_pairs;
+  pp_compositions += o.pp_compositions;
+  return *this;
 }
 
 }  // namespace omega

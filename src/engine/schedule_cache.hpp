@@ -88,6 +88,13 @@ struct ContextEvalStats {
   /// Sum of term_timeline_bytes; deterministic only below the timeline
   /// admission budget — excluded from goldened stats responses.
   std::uint64_t term_bytes = 0;
+  /// PP pair-memo entries and the per-chunk recurrences run; the latter
+  /// depends on the thread schedule (two threads can miss one pair at
+  /// once), so both stay out of goldened responses like term_bytes.
+  std::uint64_t pp_pairs = 0;
+  std::uint64_t pp_compositions = 0;
+
+  ContextEvalStats& operator+=(const ContextEvalStats& o);
 };
 
 /// Per-workload memo shared by all candidates of a sweep. Construct once per

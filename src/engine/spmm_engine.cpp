@@ -174,7 +174,7 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
     local_sched = build_lane_schedule(*walk, lanes, lane_width);
     base = &local_sched;
   }
-  const std::uint64_t critical_path = base->critical_path * c_f;
+  const std::uint64_t critical_path = sat_mul_u64(base->critical_path, c_f);
   const std::uint64_t base_total_steps = base->total_steps;  // c_f == 1
 
   const bool weighted = g.has_values();
@@ -188,7 +188,7 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
   const std::size_t tree_in = gather && lane_width > 1 ? lane_width : 1;
   r.fill_cycles = 2 + static_cast<std::uint64_t>(std::bit_width(tree_in) - 1);
   r.issue_steps = critical_path;
-  r.macs = edges * cfg.feat;
+  r.macs = sat_mul_u64(edges, cfg.feat);
   r.active_pe_cycles = r.macs;
 
   // ---- Traffic (exact totals; see DESIGN.md cost-model semantics) --------
@@ -197,9 +197,9 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
   // multicasts each walked row slice once per lane-chunk step.
   std::uint64_t b_elems = 0;
   if (gather) {
-    b_elems = edges * cfg.feat;
+    b_elems = r.macs;
   } else {
-    b_elems = base_total_steps * cfg.feat;  // sum of trips * Feat
+    b_elems = sat_mul_u64(base_total_steps, cfg.feat);  // sum of trips * Feat
   }
   if (cfg.b_from_rf) {
     r.traffic.rf.reads += b_elems;
@@ -217,14 +217,13 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
   // CSR metadata: edge ids (+ values) per row walk; rewalked per feature
   // tile when the F loop encloses the lane loop. Row pointers per walk.
   const std::uint64_t id_elems =
-      edges * id_words * (f_outside_lanes ? c_f : 1);
+      sat_mul_u64(sat_mul_u64(edges, id_words), f_outside_lanes ? c_f : 1);
   const std::uint64_t ptr_elems =
-      static_cast<std::uint64_t>(v_extent) * (f_outside_rows ? c_f : 1);
+      sat_mul_u64(v_extent, f_outside_rows ? c_f : 1);
   r.traffic.gb_for(TrafficCategory::kAdjacency).reads += id_elems + ptr_elems;
 
   // Outputs.
-  const std::uint64_t out_total =
-      static_cast<std::uint64_t>(v_extent) * cfg.feat;
+  const std::uint64_t out_total = sat_mul_u64(v_extent, cfg.feat);
   std::uint64_t psum_pairs = 0;  // spill+reload pairs (elements)
   std::uint64_t scatter_rmw = 0;
   if (gather) {
@@ -237,8 +236,8 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
         live_per_pe <= std::max<std::size_t>(cfg.rf_elements / 2, 1);
     if (!f_outside_lanes && !psums_fit) {
       // One spill+reload per non-final neighbor chunk per feature element.
-      psum_pairs =
-          (base_total_steps - static_cast<std::uint64_t>(v_extent)) * cfg.feat;
+      psum_pairs = sat_mul_u64(
+          base_total_steps - static_cast<std::uint64_t>(v_extent), cfg.feat);
       r.traffic.gb_for(TrafficCategory::kPsum).writes += psum_pairs;
       r.traffic.gb_for(TrafficCategory::kPsum).reads += psum_pairs;
       r.traffic.rf.reads += psum_pairs;
@@ -272,10 +271,12 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
 
   // ---- Cycles: critical path vs throughput bounds -------------------------
 
-  std::uint64_t gb_stream = id_elems + ptr_elems;
-  if (!cfg.b_from_rf && !cfg.b_in_dram) gb_stream += b_elems;
-  std::uint64_t red_volume = scatter_rmw * 2;
-  if (!gather) red_volume += out_total;
+  std::uint64_t gb_stream = sat_add_u64(id_elems, ptr_elems);
+  if (!cfg.b_from_rf && !cfg.b_in_dram) {
+    gb_stream = sat_add_u64(gb_stream, b_elems);
+  }
+  std::uint64_t red_volume = sat_mul_u64(scatter_rmw, 2);
+  if (!gather) red_volume = sat_add_u64(red_volume, out_total);
   std::uint64_t drain_volume = gather && !cfg.out_to_rf ? out_total : 0;
 
   std::uint64_t cycles = critical_path;
@@ -289,8 +290,8 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
   r.stall_cycles = cycles - critical_path;
 
   // Partial-sum spills serialize on top of the streaming steady state.
-  r.psum_cycles =
-      ceil_div(psum_pairs, cfg.bw_red) + ceil_div(psum_pairs, cfg.bw_dist);
+  r.psum_cycles = sat_add_u64(ceil_div(psum_pairs, cfg.bw_red),
+                              ceil_div(psum_pairs, cfg.bw_dist));
   cycles = sat_add_u64(cycles, sat_add_u64(r.psum_cycles, r.fill_cycles));
   r.cycles = cycles;
 
@@ -319,10 +320,12 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
   const std::size_t col_blocks = cfg.chunks.col_blocks();
   if (cfg.chunks.major == TraversalMajor::kColumnMajor || row_blocks == 1) {
     // Column-granular (or single row block): each of the num_chunks passes
-    // covers the same rows; durations are uniform.
+    // covers the same rows; durations are uniform. The 128-bit product
+    // keeps the quotient (<= critical_path) exact for any critical path.
     std::vector<std::uint64_t> cum(num_chunks);
     for (std::size_t i = 0; i < num_chunks; ++i) {
-      cum[i] = critical_path * (i + 1) / num_chunks;
+      cum[i] = static_cast<std::uint64_t>(
+          static_cast<unsigned __int128>(critical_path) * (i + 1) / num_chunks);
     }
     r.chunk_cycles = scale_chunks(cum, critical_path, r.cycles);
     return finish();
@@ -340,9 +343,9 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
   for (std::size_t b = 0; b < row_blocks && v_extent > 0; ++b) {
     const std::size_t last =
         std::min((b + 1) * row_block, std::size_t{v_extent}) - 1;
-    block_cum[b] = base->row_finish_prefix[b + 1 == row_blocks ? v_extent - 1
-                                                               : last] *
-                   c_f;
+    block_cum[b] = sat_mul_u64(
+        base->row_finish_prefix[b + 1 == row_blocks ? v_extent - 1 : last],
+        c_f);
   }
   const std::vector<std::uint64_t> block_cycles =
       scale_chunks(block_cum, critical_path, r.cycles);

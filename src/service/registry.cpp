@@ -144,12 +144,7 @@ ContextEvalStats WorkloadRegistry::eval_stats() const {
   }
   ContextEvalStats total;
   for (const auto& entry : resident) {
-    const ContextEvalStats s = entry->context.eval_stats();
-    total.plans += s.plans;
-    total.terms += s.terms;
-    total.term_requests += s.term_requests;
-    total.term_builds += s.term_builds;
-    total.term_bytes += s.term_bytes;
+    total += entry->context.eval_stats();
   }
   return total;
 }

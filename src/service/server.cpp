@@ -186,6 +186,8 @@ std::string MappingService::metrics_response(const Request& request) {
   snap.counters["eval.terms"] = e.terms;
   snap.counters["eval.term_requests"] = e.term_requests;
   snap.counters["eval.term_builds"] = e.term_builds;
+  snap.counters["eval.pp_pairs"] = e.pp_pairs;
+  snap.counters["eval.pp_compositions"] = e.pp_compositions;
   // Thread-schedule-dependent near the admission budget; metrics-only.
   snap.gauges["eval.term_timeline_bytes"] = static_cast<double>(e.term_bytes);
 

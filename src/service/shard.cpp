@@ -95,12 +95,7 @@ RegistryStats ShardedRegistry::stats() const {
 ContextEvalStats ShardedRegistry::eval_stats() const {
   ContextEvalStats total;
   for (const auto& shard : shards_) {
-    const ContextEvalStats s = shard->eval_stats();
-    total.plans += s.plans;
-    total.terms += s.terms;
-    total.term_requests += s.term_requests;
-    total.term_builds += s.term_builds;
-    total.term_bytes += s.term_bytes;
+    total += shard->eval_stats();
   }
   return total;
 }

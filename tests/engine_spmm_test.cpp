@@ -2,10 +2,15 @@
 // traffic, psum behaviour, and the scatter (CA-style) traversal family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
 #include "util/error.hpp"
 
 #include "engine/spmm_engine.hpp"
 #include "graph/generators.hpp"
+#include "omega/omega.hpp"
 
 namespace omega {
 namespace {
@@ -199,6 +204,42 @@ TEST(SpmmEngineTest, EmptyRowsStillAdvance) {
       base_config(g, "VFN", {.v = 1, .n = 1, .f = 1, .g = 1}, 2));
   EXPECT_EQ(r.macs, 2u * 2);
   EXPECT_GT(r.cycles, 0u);
+}
+
+TEST(SpmmEngineTest, VeryWideFeaturesSaturateInsteadOfWrapping) {
+  // One PE walks a 64-vertex graph feature by feature (FVN, unit tiles), so
+  // the critical path is the walk times feat: past 2^58 it exceeds 64 bits
+  // and must saturate (DESIGN.md "Overflow contract") instead of wrapping
+  // to a small count that ranks the workload as cheap.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Rng rng(41);
+  const CSRGraph g = erdos_renyi(64, 512, rng).with_self_loops();
+  std::uint64_t prev = 0;
+  for (const int log2_feat : {40, 58, 60, 62}) {
+    SCOPED_TRACE("feat 2^" + std::to_string(log2_feat));
+    const std::size_t feat = std::size_t{1} << log2_feat;
+    auto cfg = base_config(g, "FVN", {.v = 1, .n = 1, .f = 1, .g = 1}, feat);
+    cfg.pes = 1;
+    cfg.chunk_target = ChunkTarget::kMatrixOut;
+    cfg.chunks.rows = g.num_vertices();
+    cfg.chunks.cols = feat;
+    cfg.chunks.col_block = feat / 4;
+    cfg.chunks.major = TraversalMajor::kColumnMajor;
+    const auto r = run_spmm_phase(cfg);
+    EXPECT_GE(r.cycles, prev);
+    prev = r.cycles;
+    if (log2_feat >= 58) EXPECT_EQ(r.cycles, kMax);
+    ASSERT_EQ(r.chunk_cycles.size(), 4u);
+    ASSERT_EQ(r.chunk_completion.size(), 4u);
+    EXPECT_TRUE(std::is_sorted(r.chunk_completion.begin(),
+                               r.chunk_completion.end()));
+    EXPECT_EQ(r.chunk_completion.back(), r.cycles);
+    for (const std::uint64_t c : r.chunk_cycles) EXPECT_GT(c, 1u);
+    if (log2_feat >= 58) {
+      EXPECT_EQ(compose_parallel_pipeline(r.chunk_completion, r.chunk_cycles),
+                kMax);
+    }
+  }
 }
 
 TEST(SpmmEngineTest, RejectsMissingGraph) {

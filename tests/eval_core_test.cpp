@@ -16,12 +16,16 @@
 // one state per chain throughout, so stale slots from an earlier candidate
 // can never leak
 // into the next. The sharded TermStore is hammered from 8 threads: every
-// admitted key builds once, and the byte budget and entry ceiling hold.
+// admitted key builds once, and the byte budget and entry ceiling hold. The
+// PP pair memo returns exactly what compose_parallel_pipeline returns, under
+// contention too, within its ceiling; SP-Generic phases hold no chunk
+// timeline and share their terms with their Sequential twins.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -707,6 +711,8 @@ TEST(TermStoreConcurrency, AdmittedKeysBuildOnceWithinTheByteBudget) {
     }
   }
   EXPECT_EQ(admitted_big, kFits);
+  // Each thread's miss on a refused key is one refusal.
+  EXPECT_EQ(store.refusals(), (12 - kFits) * kThreads);
   EXPECT_EQ(store.timeline_bytes(), kFits * kBig);
   EXPECT_EQ(store.size(), 200 + kFits);
 }
@@ -742,6 +748,258 @@ TEST(TermStoreConcurrency, EntryCeilingHoldsUnderContention) {
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(builds.begin(), builds.end(), kThreads)),
             footprints.size() - once);
+}
+
+// ---- SP-Generic phases are grid-free --------------------------------------
+
+std::vector<DataflowDescriptor> sp_generic_candidates(const GnnWorkload& w,
+                                                      const LayerSpec& layer,
+                                                      std::size_t pes) {
+  SearchOptions gen;
+  gen.include_ca = true;
+  std::vector<DataflowDescriptor> out;
+  for (const DataflowDescriptor& df :
+       enumerate_search_candidates(gen, dims_of(w, layer), pes)) {
+    if (df.inter == InterPhase::kSPGeneric) out.push_back(df);
+  }
+  return out;
+}
+
+TEST(EvalCoreSpGeneric, SweepHoldsNoChunkTimelines) {
+  // 4096 vertices: an SP-Generic row grid reaches 4096 chunks, past
+  // kPhaseMemoMaxChunks, so a chunked SP-Generic term would be charged to
+  // the timeline budget. The batched path resolves those phases grid-free,
+  // and still matches the oracle, which stages the grid.
+  Rng rng(31);
+  GnnWorkload w;
+  w.name = "spg";
+  w.adjacency = rmat(12, 16384, rng).with_self_loops().gcn_normalized();
+  w.in_features = 16;
+  const LayerSpec layer{8};
+  const Omega omega(small_hw());
+  const WorkloadContext context(w.adjacency);
+  const std::vector<DataflowDescriptor> all =
+      sp_generic_candidates(w, layer, omega.config().num_pes);
+  ASSERT_GT(all.size(), 200u);
+
+  std::vector<PipelineCandidate> cands;
+  std::vector<EvalOutcome> expected;
+  std::size_t max_chunks = 0;
+  for (std::size_t i = 0; i < all.size(); i += all.size() / 200) {
+    const DataflowDescriptor& df = all[i];
+    EvalOutcome want;
+    try {
+      const RunResult r = omega.run(w, layer, df, context);
+      want = {r.cycles, r.energy.on_chip_pj(), true};
+      max_chunks = std::max(max_chunks, r.pipeline_chunks);
+    } catch (const Error&) {
+    }
+    cands.push_back(lower_two_phase_candidate(
+        df, df.phase_order == PhaseOrder::kCA ? 1 : 0,
+        omega.config().num_pes));
+    expected.push_back(want);
+  }
+  ASSERT_GT(max_chunks, kPhaseMemoMaxChunks);
+  const std::array<std::shared_ptr<const PipelineEvalPlan>, 2> plans = {
+      PipelineEvalPlan::obtain(omega, w,
+                               two_phase_chain(PhaseOrder::kAC, layer),
+                               context),
+      PipelineEvalPlan::obtain(omega, w,
+                               two_phase_chain(PhaseOrder::kCA, layer),
+                               context)};
+  for (const char* pass : {"cold", "warm"}) {
+    (void)expect_plans_match(plans, cands, expected, pass);
+    ASSERT_FALSE(HasFailure());
+  }
+  for (const auto& plan : plans) {
+    EXPECT_GT(plan->term_count(), 0u);
+    EXPECT_EQ(plan->term_timeline_bytes(), 0u);
+    EXPECT_EQ(plan->pp_pairs(), 0u);
+  }
+}
+
+TEST(EvalCoreSpGeneric, SharesItsTermsWithTheSequentialTwin) {
+  // An SP-Generic candidate and the same candidate over an unspilled
+  // Sequential boundary derive identical grid-free engine configs: the
+  // second resolves both phases from the store without a build.
+  const GnnWorkload w = fuzz_workload();
+  const LayerSpec layer{16};
+  const Omega omega(small_hw());
+  std::size_t checked = 0;
+  for (const DataflowDescriptor& spg :
+       sp_generic_candidates(w, layer, omega.config().num_pes)) {
+    if (checked == 20) break;
+    DataflowDescriptor seq = spg;
+    seq.inter = InterPhase::kSequential;
+    const WorkloadContext context(w.adjacency);
+    const EvalOutcome want_spg =
+        two_phase_oracle(omega, w, layer, spg, context);
+    const EvalOutcome want_seq =
+        two_phase_oracle(omega, w, layer, seq, context);
+    if (!want_spg.ok || !want_seq.ok) continue;
+    ++checked;
+    SCOPED_TRACE(spg.to_string());
+    const std::size_t chain = spg.phase_order == PhaseOrder::kCA ? 1 : 0;
+    const auto plan = PipelineEvalPlan::obtain(
+        omega, w, two_phase_chain(spg.phase_order, layer), context);
+    const std::size_t pes = omega.config().num_pes;
+    const PipelineCandidate spg_cand =
+        lower_two_phase_candidate(spg, chain, pes);
+    const PipelineCandidate seq_cand =
+        lower_two_phase_candidate(seq, chain, pes);
+    PipelineDeltaState first;
+    const EvalOutcome got_spg = plan->evaluate(spg_cand.view(), first);
+    EXPECT_EQ(first.tally.builds, 2u);
+    PipelineDeltaState second;  // a fresh L1: the store must serve the twin
+    const EvalOutcome got_seq = plan->evaluate(seq_cand.view(), second);
+    EXPECT_EQ(second.tally.requests, 2u);
+    EXPECT_EQ(second.tally.builds, 0u);
+    EXPECT_EQ(plan->term_count(), 2u);
+    EXPECT_EQ(plan->term_builds(), 2u);
+    EXPECT_EQ(got_spg.cycles, want_spg.cycles);
+    EXPECT_EQ(got_spg.on_chip_pj, want_spg.on_chip_pj);
+    EXPECT_EQ(got_seq.cycles, want_seq.cycles);
+    EXPECT_EQ(got_seq.on_chip_pj, want_seq.on_chip_pj);
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(checked, 20u);
+}
+
+// ---- the PP pair memo ------------------------------------------------------
+
+/// A resolved slot holding a synthetic term with the given timelines.
+TermStore::Slot timeline_slot(std::uint64_t id,
+                              std::vector<std::uint64_t> completion,
+                              std::vector<std::uint64_t> cycles) {
+  auto r = std::make_shared<PhaseResult>();
+  r->chunk_completion = std::move(completion);
+  r->chunk_cycles = std::move(cycles);
+  return {.key = synthetic_key(id),
+          .term = std::shared_ptr<const PhaseResult>(std::move(r)),
+          .valid = true};
+}
+
+TEST(PpPairMemo, MatchesTheRecurrenceOnRandomTimelines) {
+  // Producers are monotone, non-monotone (completions out of order) or
+  // near UINT64_MAX with consumers large enough to saturate the recurrence.
+  // Each pair is composed twice (a miss, then a memo hit); pair (i, i - 8)
+  // shares pair i's producer and grid but not its consumer.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::mt19937_64 rng(20241020);
+  const auto below = [&](std::uint64_t n) { return rng() % n; };
+  constexpr std::size_t kPairs = 300;
+  std::vector<TermStore::Slot> producers;
+  std::vector<TermStore::Slot> consumers;
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const std::size_t chunks = 1 + i % 8;
+    std::vector<std::uint64_t> completion(chunks);
+    std::vector<std::uint64_t> cycles(chunks);
+    std::uint64_t sum = 0;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      switch (i % 3) {
+        case 0:
+          sum += below(1000);
+          completion[c] = sum;
+          cycles[c] = below(1000);
+          break;
+        case 1:
+          completion[c] = below(1'000'000);
+          cycles[c] = below(1000);
+          break;
+        default:
+          completion[c] = kMax - below(4) * below(1'000'000);
+          cycles[c] = (kMax >> below(3)) - below(1000);
+          break;
+      }
+    }
+    producers.push_back(timeline_slot(2 * i, completion, {}));
+    consumers.push_back(timeline_slot(2 * i + 1, {}, cycles));
+  }
+  std::size_t saturated = 0;
+  TermStore store;
+  TermStore::Tally tally;
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    for (const std::size_t j : {i, i - 8}) {
+      if (j >= kPairs) continue;
+      SCOPED_TRACE("pair " + std::to_string(i) + "/" + std::to_string(j));
+      const std::uint64_t want = compose_parallel_pipeline(
+          producers[i].term->chunk_completion, consumers[j].term->chunk_cycles);
+      saturated += want == kMax ? 1 : 0;
+      EXPECT_EQ(store.compose_pp(producers[i], consumers[j], tally), want);
+      EXPECT_EQ(store.compose_pp(producers[i], consumers[j], tally), want);
+      ++pairs;
+    }
+  }
+  EXPECT_GT(saturated, 0u);
+  EXPECT_EQ(tally.pp_lookups, 2 * pairs);
+  EXPECT_EQ(tally.pp_compositions, pairs);
+  EXPECT_EQ(store.pp_compositions(), pairs);
+  EXPECT_EQ(store.pp_pairs(), pairs);
+}
+
+TEST(TermStoreConcurrency, PairMemoIsExactAndCappedUnderContention) {
+  // 8 threads compose the same kPhaseMemoMaxEntries + 300 pairs, each in its
+  // own shuffled order, so admissions race each other and the ceiling.
+  // Every call returns its pair's exact value; the admitted pairs reach the
+  // ceiling and never pass it, and a refused pair is composed on each visit.
+  constexpr std::size_t kThreads = 8;
+  const std::size_t n = kPhaseMemoMaxEntries + 300;
+  std::vector<TermStore::Slot> producers;
+  std::vector<TermStore::Slot> consumers;
+  for (std::size_t i = 0; i < n; ++i) {
+    producers.push_back(timeline_slot(i, {i, i + 1}, {}));
+    consumers.push_back(timeline_slot(n + i, {}, {i % 7, 1}));
+  }
+  const auto want = [](std::size_t i) {
+    return std::max<std::uint64_t>(i + 1, i + i % 7) + 1;
+  };
+  const TermStore store;
+  std::vector<TermStore::Tally> tallies(kThreads);
+  std::vector<char> wrong(kThreads, 0);
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> max_pairs{0};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      const std::size_t p = store.pp_pairs();
+      if (p > max_pairs.load()) max_pairs.store(p);
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      std::vector<std::size_t> order(n);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::shuffle(order.begin(), order.end(), std::mt19937_64(t + 1));
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (const std::size_t i : order) {
+        if (store.compose_pp(producers[i], consumers[i], tallies[t]) !=
+            want(i)) {
+          wrong[t] = 1;
+        }
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  done.store(true);
+  watcher.join();
+
+  EXPECT_EQ(std::count(wrong.begin(), wrong.end(), 1), 0);
+  EXPECT_LE(max_pairs.load(), kPhaseMemoMaxEntries);
+  EXPECT_EQ(store.pp_pairs(), kPhaseMemoMaxEntries);
+  std::uint64_t lookups = 0;
+  std::uint64_t compositions = 0;
+  for (const TermStore::Tally& t : tallies) {
+    lookups += t.pp_lookups;
+    compositions += t.pp_compositions;
+  }
+  EXPECT_EQ(lookups, kThreads * n);
+  EXPECT_EQ(compositions, store.pp_compositions());
+  EXPECT_GE(compositions,
+            kPhaseMemoMaxEntries + kThreads * (n - kPhaseMemoMaxEntries));
 }
 
 TEST(TermStoreConcurrency, SweepTermCountersIndependentOfThreads) {

@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -321,6 +322,54 @@ TEST(PipelineSearchTest, ConcurrentSweepsReportTheirOwnTermCounters) {
   EXPECT_EQ(both[1].eval.term_requests, cold.eval.term_requests);
   EXPECT_EQ(both[0].eval.term_builds + both[1].eval.term_builds,
             cold.eval.term_builds);
+}
+
+TEST(PipelineSearchTest, WarmRepeatRunsNoTermBuildOrPpRecurrence) {
+  // A repeat on a warm context resolves every phase term from the term
+  // store and every PP segment from the pair memo, at any thread count,
+  // and returns the cold search's ranked and Pareto sets.
+  AcceleratorConfig hw;
+  hw.num_pes = 64;
+  const Omega omega(hw);
+  const GnnWorkload w = toy_workload();
+  const PipelineChainSpec chain = gat_chain();
+  const LayerSpec layer{16};
+  std::optional<std::vector<Entry>> first_ranked;
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const WorkloadContext context(w.adjacency);
+    PipelineSearchOptions opt;
+    opt.max_candidates = 600;
+    opt.threads = threads;
+    const PipelineSearchResult cold =
+        search_pipeline_mappings(omega, w, chain, opt, &context);
+    const PipelineSearchResult warm =
+        search_pipeline_mappings(omega, w, chain, opt, &context);
+    ASSERT_GT(cold.eval.pp_lookups, 0u);
+    EXPECT_GT(cold.eval.pp_compositions, 0u);
+    EXPECT_EQ(warm.eval.term_requests, cold.eval.term_requests);
+    EXPECT_EQ(warm.eval.term_builds, 0u);
+    EXPECT_EQ(warm.eval.pp_lookups, cold.eval.pp_lookups);
+    EXPECT_EQ(warm.eval.pp_compositions, 0u);
+    EXPECT_EQ(entries_of(warm.ranked), entries_of(cold.ranked));
+    EXPECT_EQ(entries_of(warm.pareto), entries_of(cold.pareto));
+    if (!first_ranked) first_ranked = entries_of(cold.ranked);
+    EXPECT_EQ(entries_of(cold.ranked), *first_ranked);
+
+    SearchOptions so;
+    so.include_ca = true;
+    so.max_candidates = 600;
+    so.threads = threads;
+    const SearchResult two_cold =
+        search_mappings(omega, w, layer, so, &context);
+    const SearchResult two_warm =
+        search_mappings(omega, w, layer, so, &context);
+    ASSERT_GT(two_cold.eval.pp_lookups, 0u);
+    EXPECT_EQ(two_warm.eval.term_builds, 0u);
+    EXPECT_EQ(two_warm.eval.pp_compositions, 0u);
+    EXPECT_EQ(entries_of(two_warm.ranked), entries_of(two_cold.ranked));
+    EXPECT_EQ(entries_of(two_warm.pareto), entries_of(two_cold.pareto));
+  }
 }
 
 // ---- the counted candidate space -------------------------------------------

@@ -670,6 +670,36 @@ TEST(MetricsRequestTest, SnapshotReflectsPrecedingRequestsDeterministically) {
   EXPECT_EQ(lat->find("count")->as_u64(), 2u);
 }
 
+TEST(MetricsRequestTest, PpPairCountersAppearOnlyInMetrics) {
+  // The PP pair memo's counters are metrics-only (a recurrence count can
+  // depend on the thread schedule); a repeated search composes no PP
+  // segment again.
+  MappingService svc;
+  const std::string search =
+      R"(,"kind":"search_mappings","workload":)" + std::string(kCoraQuarter) +
+      R"(,"out_features":16,"options":{"max_candidates":256,"top_k":2}})";
+  const auto responses = svc.handle_batch(
+      {R"({"id":1)" + search, R"({"id":2,"version":2,"kind":"metrics"})",
+       R"({"id":3)" + search, R"({"id":4,"version":2,"kind":"metrics"})",
+       R"({"id":5,"version":2,"kind":"stats"})"});
+  ASSERT_EQ(responses.size(), 5u);
+  const auto counter = [&](std::size_t i, const char* name) {
+    const JsonValue doc = JsonValue::parse(responses[i]);
+    const JsonValue* c = doc.find("metrics")->find("counters")->find(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? 0 : c->as_u64();
+  };
+  const std::uint64_t pairs = counter(1, "eval.pp_pairs");
+  const std::uint64_t compositions = counter(1, "eval.pp_compositions");
+  EXPECT_GT(pairs, 0u);
+  EXPECT_GE(compositions, pairs);
+  EXPECT_EQ(counter(3, "eval.pp_pairs"), pairs);
+  EXPECT_EQ(counter(3, "eval.pp_compositions"), compositions);
+  for (const std::size_t i : {0, 2, 4}) {
+    EXPECT_EQ(responses[i].find("pp_"), std::string::npos) << responses[i];
+  }
+}
+
 TEST(MetricsRequestTest, ErrorResponsesCountAsErrors) {
   MappingService svc;
   (void)svc.handle_line(
