@@ -391,8 +391,7 @@ int run_dse_sweep(std::size_t repeat) {
             << " ms, evaluate " << fixed(search.evaluate_ms, 2)
             << " ms, rank " << fixed(search.rank_ms, 2) << " ms median)\n";
   const ContextEvalStats eval = context.eval_stats();
-  std::cout << "  (" << context.phase_cache_size() << " phase sims, "
-            << eval.terms << " terms ("
+  std::cout << "  (" << eval.terms << " terms ("
             << eval.term_bytes / (1024 * 1024)
             << " MiB chunked timelines), " << eval.pp_pairs << " PP pairs ("
             << eval.pp_compositions << " compositions), "
@@ -408,8 +407,7 @@ int run_dse_sweep(std::size_t repeat) {
   // must run no PP recurrence, and no phase simulation unless the term
   // store refused terms at its timeline budget (those rebuild on every
   // visit; which ones is schedule-dependent, so their count is reported).
-  const std::uint64_t refusals =
-      plans[0]->term_refusals() + plans[1]->term_refusals();
+  const std::uint64_t refusals = context.phase_memo_overflow();
   bool gate_ok = search.pp_compositions == 0 &&
                  (search.term_builds == 0 || refusals > 0);
   std::cout << "work:     warm search " << search.term_builds
@@ -444,8 +442,6 @@ int run_dse_sweep(std::size_t repeat) {
     jw.member("baseline_candidates",
               static_cast<std::uint64_t>(baseline.size()));
     jw.member("repeat", static_cast<std::uint64_t>(repeat));
-    jw.member("phase_sims",
-              static_cast<std::uint64_t>(context.phase_cache_size()));
     jw.member("terms", eval.terms);
     jw.member("term_timeline_bytes", eval.term_bytes);
     jw.member("term_refusals", refusals);

@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/saturate.hpp"
+
 namespace omega {
 
 struct EnergyModel {
@@ -32,10 +34,14 @@ struct AccessCounts {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
 
-  [[nodiscard]] std::uint64_t total() const { return reads + writes; }
+  // Saturating, like every count (DESIGN.md "Overflow contract"): a
+  // wrapped sum would price an adversarially wide workload as cheap.
+  [[nodiscard]] std::uint64_t total() const {
+    return sat_add_u64(reads, writes);
+  }
   AccessCounts& operator+=(const AccessCounts& o) {
-    reads += o.reads;
-    writes += o.writes;
+    reads = sat_add_u64(reads, o.reads);
+    writes = sat_add_u64(writes, o.writes);
     return *this;
   }
 };

@@ -264,8 +264,8 @@ ModelSearchResult search_model_mappings(const Omega& omega,
     // Re-rank the enumerated combinations by their *composed* makespan:
     // the per-layer score sum that guided enumeration is only an upper
     // bound once boundaries overlap. Each combo's layers are re-run
-    // through the warm context (the sweeps above already populated the
-    // phase memo, so these are mostly cache hits) to recover the chunk
+    // through the warm context (the sweeps above already populated its
+    // term store, so these are mostly cache hits) to recover the chunk
     // timelines the composer needs. Results are stored by index, so the
     // parallel evaluation is thread-count-invariant.
     const ModelComposer composer(omega.config(), workload.adjacency);

@@ -121,8 +121,8 @@ struct SearchResult {
 };
 
 /// `shared_context`, when non-null, must be a WorkloadContext over
-/// `workload.adjacency`; the search then reuses its transpose / schedule /
-/// phase memos instead of building a fresh context. Model-level search
+/// `workload.adjacency`; the search then reuses its transpose, schedules
+/// and term store instead of building a fresh context. Model-level search
 /// passes one context across every layer's sweep (the memo is keyed on
 /// quantities that are layer-invariant or layer-tagged), so per-layer
 /// sweeps after the first pay only the engine math.

@@ -36,13 +36,13 @@ std::uint64_t pack_chunk_kind(ChunkTarget target, const ChunkSpec& chunks) {
          static_cast<std::uint64_t>(chunks.major);
 }
 
-/// Field->term dependency map, spmm side. Mirrors the spmm engine's string
-/// memo key field-for-field (everything that determines the PhaseResult
-/// besides the graph, which the plan tags in w[19]); see DESIGN.md
-/// "Batched evaluation".
+/// Field->term dependency map, spmm side: everything that determines the
+/// PhaseResult besides the graph, which is the context's adjacency here
+/// (sparse_weight_key tags the W^T case); see DESIGN.md "Batched
+/// evaluation".
 EvalTermKey key_of(const SpmmPhaseConfig& cfg) {
   EvalTermKey k;
-  k.w = {1ull,  // engine tag
+  k.w = {1ull,  // engine tag: spmm over the workload adjacency
          pack_order(cfg.order),
          cfg.feat,
          cfg.tiles.v,
@@ -108,16 +108,47 @@ EvalTermKey key_of(const GemmPhaseConfig& cfg) {
   return k;
 }
 
-// Estimated timeline footprint a term would pin in the shared map: zero for
-// small grids (admitted unconditionally, matching the legacy engine memo's
-// policy), else the two per-chunk u64 vectors a PhaseResult carries.
+/// A sparse-weight phase's key: spmm over the W^T pattern
+/// sparse_weight_csr(in_w, out_w, density), identified by what fixes it —
+/// out_w rows of nnz_per_row ids spread over in_w — so chains that share a
+/// context share a W^T term exactly when they walk one pattern.
+EvalTermKey sparse_weight_key(const SpmmPhaseConfig& cfg, std::size_t in_w,
+                              std::size_t out_w, std::size_t nnz_per_row) {
+  EvalTermKey k = key_of(cfg);
+  k.w[0] = 3;  // engine tag: spmm over a W^T pattern
+  k.w[19] = out_w;
+  k.w[20] = nnz_per_row;
+  k.w[21] = in_w;
+  return k;
+}
+
+// The timeline footprint a term would pin in the store: the two per-chunk
+// u64 vectors of a chunked PhaseResult, none for a grid-free one.
 std::size_t term_timeline_footprint(ChunkTarget target,
                                     const ChunkSpec& chunks) {
-  if (target == ChunkTarget::kNone ||
-      chunks.num_chunks() <= kPhaseMemoMaxChunks) {
-    return 0;
-  }
-  return chunks.num_chunks() * 2 * sizeof(std::uint64_t);
+  if (target == ChunkTarget::kNone) return 0;
+  return sat_mul_u64(chunks.num_chunks(), 2 * sizeof(std::uint64_t));
+}
+
+// One run-path term through `context`'s store (a fresh L1 slot: run calls
+// share no block state), or `simulate()` without a context. The store
+// caches an infeasible config as a null term, so a null term is simulated
+// again uncached, which rethrows the engine's Error.
+template <typename Simulate>
+PhaseResult run_through_store(const WorkloadContext* context,
+                              const EvalTermKey& key,
+                              std::size_t timeline_bytes,
+                              const Simulate& simulate) {
+  if (context == nullptr) return simulate();
+  TermStore::Slot slot;
+  TermStore::Tally tally;
+  const std::shared_ptr<const PhaseResult> term = context->terms().resolve(
+      key, slot,
+      [&] { return std::make_shared<const PhaseResult>(simulate()); },
+      timeline_bytes, tally);
+  if (term == nullptr) (void)simulate();
+  OMEGA_CHECK(term != nullptr, "an infeasible phase config simulated on rerun");
+  return *term;
 }
 
 }  // namespace
@@ -144,8 +175,8 @@ std::shared_ptr<TermStore::TermEntry> TermStore::find_or_admit(
   const std::scoped_lock lock(shard.mutex);
   const auto it = shard.terms.find(key);
   if (it != shard.terms.end()) return it->second;
-  // Entry ceiling (same policy as the context phase memo) or the
-  // chunked-timeline byte budget exhausted: the caller builds uncached.
+  // Entry ceiling or chunked-timeline byte budget exhausted: the caller
+  // builds uncached.
   if (!admit(timeline_bytes)) {
     refusals_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -243,7 +274,8 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
                                                              : p.out_features;
             width = ps.out_w;
             if (p.engine == PhaseEngine::kSparseSparse) {
-              ps.graph_tag = 1 + static_cast<std::uint64_t>(i);
+              ps.nnz_per_row =
+                  sparse_weight_nnz_per_row(ps.in_w, p.weight_density);
               ps.wcsr = std::make_shared<const CSRGraph>(
                   sparse_weight_csr(ps.in_w, ps.out_w, p.weight_density));
             }
@@ -459,12 +491,11 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
           cfg.chunks = down.grid;
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
-        resolved = resolve(cfg, ps.graph_tag, i, state);
+        resolved = resolve(cfg, ps, i, state);
         break;
       }
       case PhaseEngine::kDenseDense: {
         GemmPhaseConfig cfg;
-        cfg.context = context_;
         cfg.rows = v_;
         cfg.inner = ps.in_w;
         cfg.cols = ps.out_w;
@@ -534,7 +565,7 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
           cfg.chunks = transpose_chunks(down.grid);
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
-        resolved = resolve(cfg, ps.graph_tag, i, state);
+        resolved = resolve(cfg, ps, i, state);
         break;
       }
     }
@@ -546,23 +577,31 @@ EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
 }
 
 bool PipelineEvalPlan::resolve(const SpmmPhaseConfig& cfg,
-                               std::uint64_t graph_tag, std::size_t phase_idx,
+                               const PhaseStatic& ps, std::size_t phase_idx,
                                PipelineDeltaState& state) const {
-  EvalTermKey key = key_of(cfg);
-  key.w[19] = graph_tag;  // which graph: adjacency vs a phase's W^T
-  return store_.resolve(key, state.slots[phase_idx],
-                        [&] { return run_spmm_phase_shared(cfg); },
-                        term_timeline_footprint(cfg.chunk_target, cfg.chunks),
-                        state.tally) != nullptr;
+  const EvalTermKey key =
+      ps.wcsr == nullptr
+          ? key_of(cfg)
+          : sparse_weight_key(cfg, ps.in_w, ps.out_w, ps.nnz_per_row);
+  return context_->terms().resolve(
+             key, state.slots[phase_idx],
+             [&] {
+               return std::make_shared<const PhaseResult>(run_spmm_phase(cfg));
+             },
+             term_timeline_footprint(cfg.chunk_target, cfg.chunks),
+             state.tally) != nullptr;
 }
 
 bool PipelineEvalPlan::resolve(const GemmPhaseConfig& cfg,
                                std::size_t phase_idx,
                                PipelineDeltaState& state) const {
-  return store_.resolve(key_of(cfg), state.slots[phase_idx],
-                        [&] { return run_gemm_phase_shared(cfg); },
-                        term_timeline_footprint(cfg.chunk_target, cfg.chunks),
-                        state.tally) != nullptr;
+  return context_->terms().resolve(
+             key_of(cfg), state.slots[phase_idx],
+             [&] {
+               return std::make_shared<const PhaseResult>(run_gemm_phase(cfg));
+             },
+             term_timeline_footprint(cfg.chunk_target, cfg.chunks),
+             state.tally) != nullptr;
 }
 
 EvalOutcome PipelineEvalPlan::compose(const PipelineBindingView& binding,
@@ -581,7 +620,8 @@ EvalOutcome PipelineEvalPlan::compose(const PipelineBindingView& binding,
   for (std::size_t i = 0; i < n;) {
     if (i + 1 < n && binding.boundaries[i] == InterPhase::kParallelPipeline) {
       out.cycles = sat_add_u64(
-          out.cycles, store_.compose_pp(slots[i], slots[i + 1], state.tally));
+          out.cycles,
+          context_->terms().compose_pp(slots[i], slots[i + 1], state.tally));
       i += 2;
     } else {
       out.cycles = sat_add_u64(out.cycles, result(i).cycles);
@@ -594,6 +634,40 @@ EvalOutcome PipelineEvalPlan::compose(const PipelineBindingView& binding,
   out.on_chip_pj = e.on_chip_pj();
   out.ok = true;
   return out;
+}
+
+PhaseResult resolve_phase(const GemmPhaseConfig& cfg,
+                          const WorkloadContext* context) {
+  return run_through_store(
+      context, key_of(cfg),
+      term_timeline_footprint(cfg.chunk_target, cfg.chunks),
+      [&] { return run_gemm_phase(cfg); });
+}
+
+PhaseResult resolve_phase(const SpmmPhaseConfig& cfg,
+                          const WorkloadContext* context) {
+  // The key carries no graph identity: a mis-bound context must fail
+  // loudly rather than return another graph's term.
+  OMEGA_CHECK(context == nullptr || &context->graph() == cfg.graph,
+              "WorkloadContext is bound to a different graph");
+  return run_through_store(
+      context, key_of(cfg),
+      term_timeline_footprint(cfg.chunk_target, cfg.chunks),
+      [&] { return run_spmm_phase(cfg); });
+}
+
+PhaseResult resolve_sparse_weight_phase(SpmmPhaseConfig cfg, std::size_t in_w,
+                                        std::size_t out_w, double density,
+                                        const WorkloadContext* context) {
+  return run_through_store(
+      context,
+      sparse_weight_key(cfg, in_w, out_w,
+                        sparse_weight_nnz_per_row(in_w, density)),
+      term_timeline_footprint(cfg.chunk_target, cfg.chunks), [&] {
+        const CSRGraph wcsr = sparse_weight_csr(in_w, out_w, density);
+        cfg.graph = &wcsr;
+        return run_spmm_phase(cfg);
+      });
 }
 
 }  // namespace omega

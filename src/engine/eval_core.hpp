@@ -6,9 +6,8 @@
 // chain. A sweep's candidates differ from their neighbors in one or two
 // binding fields, and the full Omega::run_pipeline path re-derives
 // everything per candidate: the PE/bandwidth split, feature widths, the
-// boundary plans, N engine configs, N phase simulations (memoized by string
-// key — built, hashed and compared per candidate), the PP compositions, the
-// traffic sum and the energy model. A plan factors one candidate
+// boundary plans, N engine configs, N phase lookups, the PP compositions,
+// the traffic sum and the energy model. A plan factors one candidate
 // evaluation into N *phase terms* — one per chain position, the memoizable
 // units — plus (N-1) boundary compositions:
 //
@@ -20,10 +19,13 @@
 // Each term is keyed by the binding fields it actually depends on (its
 // engine config: tile dims, loop order, the InterPhase-derived flag set,
 // the PE/bandwidth split, widths, chunk grid — see key_of in eval_core.cpp
-// for the exact field->term dependency map) and cached in a POD-keyed hash
-// map on the plan, so a single-field mutation invalidates at most the terms
-// whose key embeds that field. The plan itself is cached in the
-// WorkloadContext keyed by everything outside the binding (substrate +
+// for the exact field->term dependency map) and cached in the
+// WorkloadContext's one TermStore, so a single-field mutation invalidates at
+// most the terms whose key embeds that field. Every plan of the context and
+// every Omega::run / run_pipeline call given the context (resolve_phase
+// below) resolve through that store: a term shared by two chains, or by the
+// scalar and the batched path, is simulated once. The plan itself is cached
+// in the context keyed by everything outside the binding (substrate +
 // energy model + chain), so repeated searches over one workload reuse all
 // terms across calls.
 //
@@ -93,24 +95,26 @@ struct EvalOutcome {
   bool ok = false;
 };
 
-/// POD signature of one phase term — the numeric mirror of the engines'
-/// string memo keys (same fields, no formatting/hashing of digits per
-/// candidate). w[0] tags the engine so spmm/gemm keys can never collide.
+/// POD signature of one phase term: every engine-config field that
+/// determines its PhaseResult (key_of in eval_core.cpp). w[0] tags the
+/// engine and, for spmm, the graph it walks — the workload adjacency or a
+/// sparse-weight W^T pattern, whose identity fills the last words — so keys
+/// of different engines or graphs can never collide.
 struct EvalTermKey {
   std::array<std::uint64_t, 22> w{};
   [[nodiscard]] bool operator==(const EvalTermKey&) const = default;
 };
 
-/// Byte budget for *chunked* phase-term timelines held by one plan.
-/// The legacy engine memo refuses chunk grids past kPhaseMemoMaxChunks on
-/// the assumption that giant timelines are near-unique; sweep profiles show
-/// the opposite — candidates that differ only in fields outside a phase's
-/// key share its grid, and re-simulating those terms dominates the hot
-/// path. The plan therefore admits big-chunk terms until their estimated
-/// timeline footprint (two u64 vectors per term) reaches this budget; past
-/// it, new big terms fall back to uncached builds (results identical, the
-/// per-block L1 slot is then their only cache).
-inline constexpr std::size_t kTermTimelineBudgetBytes = 512ull << 20;
+/// Byte budget for the timelines of *chunked* phase terms held by one
+/// context's store. Every chunked term is charged num_chunks * 16 bytes
+/// (its two u64 timeline vectors), whatever its grid size: candidates that
+/// differ only in fields outside a phase's key share its grid, so big
+/// grids recur as much as small ones. Past the budget, new chunked terms
+/// are built uncached (results identical; the per-block L1 slot is then
+/// their only cache, and every warm sweep rebuilds them). Sized so a cold
+/// seed-1 perfbench dse_sweep context (about 495 MiB of timelines) fits
+/// with room to spare.
+inline constexpr std::size_t kTermTimelineBudgetBytes = 1ull << 30;
 
 /// A PP segment's identity: its producer's and its consumer's term keys.
 struct EvalPairKey {
@@ -141,9 +145,10 @@ struct EvalTermKeyHash {
   }
 };
 
-/// The shared term memo behind an evaluation plan: a POD-keyed map of
+/// The phase-term memo of one WorkloadContext: a POD-keyed map of
 /// once-built phase results, the chunked-timeline byte budget, the PP pair
-/// memo, and the request/build counters. Thread-safe; one store per plan.
+/// memo, and the request/build counters. Thread-safe; one store per
+/// context, shared by its plans and its run paths.
 ///
 /// Sharding: the maps are split into kShards {mutex, terms, pairs} shards
 /// selected by the high bits of EvalTermKeyHash, so concurrent sweep
@@ -194,11 +199,12 @@ class TermStore {
 
   /// Resolves a term through (L1 slot -> map -> build). `build` is any
   /// callable returning std::shared_ptr<const PhaseResult>; it runs only
-  /// on a miss. `timeline_bytes == 0` marks a small-grid term (always
-  /// admitted, like the legacy engine memo); nonzero is the estimated
-  /// footprint of a chunked term's timelines, admitted against
-  /// kTermTimelineBudgetBytes. `slot` is the caller's per-block L1 for this
-  /// term position; `tally` counts this call into the caller's share.
+  /// on a miss. `timeline_bytes == 0` marks a grid-free term (admitted
+  /// below the entry ceiling); nonzero is the footprint of a chunked
+  /// term's timelines, admitted against kTermTimelineBudgetBytes too.
+  /// A build that throws Error (an infeasible config) caches a null term.
+  /// `slot` is the caller's per-block L1 for this term position; `tally`
+  /// counts this call into the caller's share.
   template <typename Build>
   [[nodiscard]] std::shared_ptr<const PhaseResult> resolve(
       const EvalTermKey& key, Slot& slot, const Build& build,
@@ -260,8 +266,11 @@ class TermStore {
   [[nodiscard]] std::uint64_t refusals() const {
     return refusals_.load(std::memory_order_relaxed);
   }
-  /// Estimated bytes of chunked-term timelines admitted against
-  /// kTermTimelineBudgetBytes (small-grid terms are not counted).
+  /// Bytes of chunked-term timelines admitted against
+  /// kTermTimelineBudgetBytes (grid-free terms are not counted). NOT
+  /// deterministic near the budget (which term wins admission there depends
+  /// on the thread schedule), so it feeds metrics and CLI output only —
+  /// never goldened responses.
   [[nodiscard]] std::size_t timeline_bytes() const {
     return timeline_bytes_.load(std::memory_order_relaxed);
   }
@@ -269,7 +278,9 @@ class TermStore {
   [[nodiscard]] std::size_t pp_pairs() const {
     return pairs_.load(std::memory_order_relaxed);
   }
-  /// compose_pp calls that ran the O(chunks) recurrence (pair-memo misses).
+  /// compose_pp calls that ran the O(chunks) recurrence (pair-memo misses;
+  /// schedule-dependent when two threads miss one pair at once, so
+  /// metrics-only like timeline_bytes).
   [[nodiscard]] std::uint64_t pp_compositions() const {
     return pp_compositions_.load(std::memory_order_relaxed);
   }
@@ -328,15 +339,12 @@ struct PipelineDeltaState {
 /// A per-(workload, substrate, chain) evaluation plan. The plan is keyed by
 /// the *chain* (engines, widths, densities — everything a sweep holds
 /// fixed) so per-candidate work reduces to deriving engine configs from the
-/// binding (dataflows, boundaries, PE fractions) and resolving cached
-/// terms; sparse-weight W^T CSRs are built once per chain phase here
-/// instead of once per candidate as in run_pipeline. All methods are const
-/// and thread-safe. Counter semantics: term_requests/term_builds/term_count
-/// are deterministic for a given evaluated-candidate set (builds happen
-/// once per distinct key); L1 hit counts live on the caller's state because
-/// block layout is thread-count-dependent. The counters feed the service
-/// `stats` response (WorkloadContext::eval_stats) and the search
-/// observability.
+/// binding (dataflows, boundaries, PE fractions) and resolving terms in
+/// the context's store; sparse-weight W^T CSRs are built once per chain
+/// phase here, where run_pipeline builds one per simulated term. All
+/// methods are const and thread-safe. The plan keeps no counters: the
+/// store's (WorkloadContext::eval_stats) count every plan and run path of
+/// the context, and each evaluation counts its own share on its state.
 class PipelineEvalPlan {
  public:
   /// The context-cached plan for (omega's substrate + energy model,
@@ -355,35 +363,6 @@ class PipelineEvalPlan {
 
   [[nodiscard]] std::size_t phase_count() const { return statics_.size(); }
 
-  /// Distinct phase terms resident in the plan's term memo.
-  [[nodiscard]] std::size_t term_count() const { return store_.size(); }
-  /// Term lookups served (one per resolved phase of a feasible candidate).
-  [[nodiscard]] std::uint64_t term_requests() const {
-    return store_.requests();
-  }
-  /// Term lookups that had to run a phase simulation (memo misses).
-  [[nodiscard]] std::uint64_t term_builds() const { return store_.builds(); }
-  /// Term misses refused admission by the entry ceiling or the timeline
-  /// budget; a refused term rebuilds on every miss, warm or cold.
-  [[nodiscard]] std::uint64_t term_refusals() const {
-    return store_.refusals();
-  }
-  /// Estimated bytes of chunked-term timelines resident in the term store.
-  /// NOT deterministic near the admission budget (which candidate's
-  /// timeline wins admission at saturation depends on thread schedule), so
-  /// this feeds metrics/CLI output only — never goldened responses.
-  [[nodiscard]] std::size_t term_timeline_bytes() const {
-    return store_.timeline_bytes();
-  }
-  /// Distinct PP pairs whose composed cycles the plan holds.
-  [[nodiscard]] std::size_t pp_pairs() const { return store_.pp_pairs(); }
-  /// PP compositions that ran the per-chunk recurrence (pair-memo misses;
-  /// schedule-dependent when two threads miss one pair at once, so
-  /// metrics-only like term_timeline_bytes).
-  [[nodiscard]] std::uint64_t pp_compositions() const {
-    return store_.pp_compositions();
-  }
-
  private:
   PipelineEvalPlan() = default;
 
@@ -392,12 +371,10 @@ class PipelineEvalPlan {
     PhaseEngine engine = PhaseEngine::kDenseDense;
     std::size_t in_w = 0;
     std::size_t out_w = 0;
-    /// Distinguishes which graph a sparse term runs on in its key (spare
-    /// word w[19]): 0 = the workload adjacency, 1 + i = phase i's W^T. Two
-    /// sparse-weight phases can share every keyed config field while
-    /// walking different weight patterns.
-    std::uint64_t graph_tag = 0;
-    std::shared_ptr<const CSRGraph> wcsr;  // sparse-weight phases only
+    /// Sparse-weight phases only: W^T's nonzeros per row (with in_w and
+    /// out_w, the pattern's identity in the term key) and the pattern.
+    std::size_t nnz_per_row = 0;
+    std::shared_ptr<const CSRGraph> wcsr;
   };
 
   /// The throws Omega::run_pipeline performs before the engines run (spec
@@ -406,8 +383,8 @@ class PipelineEvalPlan {
   [[nodiscard]] bool precheck(const PipelineBindingView& binding) const;
   /// Resolves one phase term into state.slots[phase_idx]; false when the
   /// engines reject the config (infeasible).
-  [[nodiscard]] bool resolve(const SpmmPhaseConfig& cfg,
-                             std::uint64_t graph_tag, std::size_t phase_idx,
+  [[nodiscard]] bool resolve(const SpmmPhaseConfig& cfg, const PhaseStatic& ps,
+                             std::size_t phase_idx,
                              PipelineDeltaState& state) const;
   [[nodiscard]] bool resolve(const GemmPhaseConfig& cfg, std::size_t phase_idx,
                              PipelineDeltaState& state) const;
@@ -423,8 +400,22 @@ class PipelineEvalPlan {
   std::size_t v_ = 0;
   std::vector<PhaseStatic> statics_;
   bool chain_ok_ = false;
-
-  TermStore store_;
 };
+
+/// Omega::run_pipeline's engine calls. Without a context each simulates
+/// fresh; with one it resolves its term through the context's store, so
+/// the run path shares every term with the context's plans. An infeasible
+/// config throws the engine's Error either way, on a revisit too.
+[[nodiscard]] PhaseResult resolve_phase(const GemmPhaseConfig& cfg,
+                                        const WorkloadContext* context);
+/// `context`, when given, must be bound to `cfg.graph`.
+[[nodiscard]] PhaseResult resolve_phase(const SpmmPhaseConfig& cfg,
+                                        const WorkloadContext* context);
+/// A sparse-weight phase on W^T = sparse_weight_csr(in_w, out_w, density):
+/// `cfg.graph` is set to the pattern, which is built only when the term is
+/// simulated.
+[[nodiscard]] PhaseResult resolve_sparse_weight_phase(
+    SpmmPhaseConfig cfg, std::size_t in_w, std::size_t out_w, double density,
+    const WorkloadContext* context);
 
 }  // namespace omega

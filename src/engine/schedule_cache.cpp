@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "engine/eval_core.hpp"    // PipelineEvalPlan counters
+#include "engine/eval_core.hpp"    // PipelineEvalPlan, TermStore
 #include "engine/gemm_engine.hpp"  // ceil_div
 #include "util/error.hpp"
 #include "util/once.hpp"
@@ -38,7 +38,9 @@ LaneSchedule build_lane_schedule(const CSRGraph& walk, std::size_t lanes,
 }
 
 WorkloadContext::WorkloadContext(const CSRGraph& adjacency)
-    : adjacency_(&adjacency) {}
+    : adjacency_(&adjacency), terms_(std::make_unique<const TermStore>()) {}
+
+WorkloadContext::~WorkloadContext() = default;
 
 const CSRGraph& WorkloadContext::reverse_graph() const {
   // Pin the shared transpose for the context's lifetime so repeated lookups
@@ -71,51 +73,10 @@ std::size_t WorkloadContext::schedule_cache_size() const {
   return schedules_.size();
 }
 
-std::shared_ptr<const PhaseResult> WorkloadContext::phase_result(
-    const std::string& key, const std::function<PhaseResult()>& build) const {
-  std::shared_ptr<PhaseEntry> entry;
-  {
-    const std::scoped_lock lock(mutex_);
-    const auto it = phase_results_.find(key);
-    if (it == phase_results_.end()) {
-      // Entry-count ceiling: a long-lived context (the mapping service
-      // keeps one per resident workload for the daemon's lifetime) serving
-      // requests across many substrates would otherwise accumulate memo
-      // entries without bound. Past the ceiling, new configs evaluate
-      // uncached — identical results, no growth; existing entries keep
-      // hitting.
-      if (phase_results_.size() >= kPhaseMemoMaxEntries) {
-        ++phase_memo_overflow_;
-        entry = nullptr;
-      } else {
-        auto& slot = phase_results_[key];
-        slot = std::make_shared<PhaseEntry>();
-        entry = slot;
-      }
-    } else {
-      entry = it->second;
-    }
-  }
-  if (entry == nullptr) {
-    return std::make_shared<const PhaseResult>(build());
-  }
-  // Infeasible configs throw Error out of `build`; call_once_caching
-  // memoizes the exception so revisits rethrow without re-running (and
-  // without throwing across the pthread_once boundary — see util/once.hpp).
-  call_once_caching(entry->once, entry->error, [&] {
-    entry->result = std::make_shared<const PhaseResult>(build());
-  });
-  return entry->result;
-}
-
-std::size_t WorkloadContext::phase_cache_size() const {
-  const std::scoped_lock lock(mutex_);
-  return phase_results_.size();
-}
+std::size_t WorkloadContext::phase_cache_size() const { return terms_->size(); }
 
 std::size_t WorkloadContext::phase_memo_overflow() const {
-  const std::scoped_lock lock(mutex_);
-  return phase_memo_overflow_;
+  return terms_->refusals();
 }
 
 std::shared_ptr<const PipelineEvalPlan> WorkloadContext::eval_plan(
@@ -139,28 +100,13 @@ std::size_t WorkloadContext::eval_plan_count() const {
 }
 
 ContextEvalStats WorkloadContext::eval_stats() const {
-  // Snapshot the plan pointers under the lock, then read their counters
-  // outside it (the counters are atomics on the plans themselves).
-  std::vector<std::shared_ptr<const PipelineEvalPlan>> plans;
-  {
-    const std::scoped_lock lock(mutex_);
-    plans.reserve(eval_plans_.size());
-    // omega-lint: allow(unordered-iter): commutative fold (sums of counters), no emission order
-    for (const auto& [sig, entry] : eval_plans_) {
-      if (entry != nullptr && entry->plan != nullptr) plans.push_back(entry->plan);
-    }
-  }
-  ContextEvalStats s;
-  for (const auto& p : plans) {
-    s += {.plans = 1,
-          .terms = p->term_count(),
-          .term_requests = p->term_requests(),
-          .term_builds = p->term_builds(),
-          .term_bytes = p->term_timeline_bytes(),
-          .pp_pairs = p->pp_pairs(),
-          .pp_compositions = p->pp_compositions()};
-  }
-  return s;
+  return {.plans = eval_plan_count(),
+          .terms = terms_->size(),
+          .term_requests = terms_->requests(),
+          .term_builds = terms_->builds(),
+          .term_bytes = terms_->timeline_bytes(),
+          .pp_pairs = terms_->pp_pairs(),
+          .pp_compositions = terms_->pp_compositions()};
 }
 
 ContextEvalStats& ContextEvalStats::operator+=(const ContextEvalStats& o) {

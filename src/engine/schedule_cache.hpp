@@ -15,10 +15,12 @@
 //  * each schedule stores the prefix max of per-row finish steps, so the
 //    row-major pipeline chunk timeline reads one value per row block
 //    instead of rescanning all V rows per candidate;
-//  * complete PhaseResults are memoized by the engine config signature —
-//    the search's agg x cmb tiling cross product re-simulates the same
-//    phase config once per partner tiling, so a sweep of C candidates runs
-//    far fewer than 2C phase simulations.
+//  * complete PhaseResults live in the context's one TermStore
+//    (engine/eval_core.hpp), keyed by their engine config: every
+//    evaluation plan of the context and every Omega::run / run_pipeline
+//    call with the context resolves its phases there, so a phase config
+//    shared by two chains, or by the scalar and the batched path, is
+//    simulated once.
 //
 // All methods are const and thread-safe; one context is shared by every
 // thread of a sweep. See DESIGN.md "WorkloadContext caching contract".
@@ -33,20 +35,15 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/phase_result.hpp"
 #include "graph/csr.hpp"
 
 namespace omega {
 
-/// Phase results with chunk grids beyond this size are evaluated without
-/// the memo (see WorkloadContext::phase_result).
-inline constexpr std::size_t kPhaseMemoMaxChunks = 2048;
-
-/// Ceiling on distinct phase-result memo entries per context. A sweep's
-/// working set stays far below this; the ceiling exists for long-lived
-/// contexts (the mapping service pins one per resident workload) that see
-/// requests across many substrates — past it, new configs evaluate
-/// uncached instead of growing the memo without bound.
+/// Ceiling on distinct phase terms (and, apart, PP pairs) per context. A
+/// sweep's working set stays far below this; the ceiling exists for
+/// long-lived contexts (the mapping service pins one per resident workload)
+/// that see requests across many substrates — past it, new configs
+/// evaluate uncached instead of growing the store without bound.
 inline constexpr std::size_t kPhaseMemoMaxEntries = 65536;
 
 /// Round-robin lane schedule over the walked rows. Spatially mapped rows do
@@ -75,14 +72,16 @@ struct LaneSchedule {
                                                std::size_t lanes,
                                                std::size_t lane_width);
 
-/// The batched evaluation plan the context caches (engine/eval_core.hpp;
-/// declared here only, because eval_core.hpp includes this header).
+/// The batched evaluation plan the context caches and the term store every
+/// plan and run path of the context shares (engine/eval_core.hpp; declared
+/// here only, because eval_core.hpp includes this header).
 class PipelineEvalPlan;
+class TermStore;
 
-/// Aggregated per-context plan counters; see WorkloadContext::eval_stats.
+/// Aggregated per-context counters; see WorkloadContext::eval_stats.
 struct ContextEvalStats {
   std::uint64_t plans = 0;          // distinct (substrate, chain) plans
-  std::uint64_t terms = 0;          // resident terms across all plans
+  std::uint64_t terms = 0;          // resident terms of the term store
   std::uint64_t term_requests = 0;
   std::uint64_t term_builds = 0;
   /// Sum of term_timeline_bytes; deterministic only below the timeline
@@ -104,6 +103,7 @@ struct ContextEvalStats {
 class WorkloadContext {
  public:
   explicit WorkloadContext(const CSRGraph& adjacency);
+  ~WorkloadContext();
 
   [[nodiscard]] const CSRGraph& graph() const noexcept { return *adjacency_; }
 
@@ -118,31 +118,20 @@ class WorkloadContext {
   /// Number of distinct schedules built so far (observability / tests).
   [[nodiscard]] std::size_t schedule_cache_size() const;
 
-  /// Memoized full phase simulation. `key` is the engine's config signature
-  /// (everything that determines the PhaseResult except the graph, which is
-  /// this context's); `build` runs at most once per key. Concurrent misses
-  /// on different keys build in parallel; a throwing build memoizes the
-  /// exception and rethrows it on every call — same observable Error as the
-  /// uncached path (builds are deterministic per key), built only once.
-  /// Callers must bypass the memo for results whose chunk grid
-  /// exceeds kPhaseMemoMaxChunks: giant grids are near-unique across
-  /// candidates, and caching their multi-megabyte timelines trades memory
-  /// (gigabytes over a long sweep) for hits that never come.
-  [[nodiscard]] std::shared_ptr<const PhaseResult> phase_result(
-      const std::string& key, const std::function<PhaseResult()>& build) const;
+  /// The phase-term store shared by the context's plans and run paths.
+  [[nodiscard]] const TermStore& terms() const noexcept { return *terms_; }
 
-  /// Number of distinct phase simulations memoized so far.
+  /// Distinct phase terms held by the store.
   [[nodiscard]] std::size_t phase_cache_size() const;
 
-  /// Builds that bypassed the memo because kPhaseMemoMaxEntries was
-  /// reached (observability for long-lived service contexts).
+  /// Term misses the store refused (entry ceiling or timeline budget).
   [[nodiscard]] std::size_t phase_memo_overflow() const;
 
   /// Memoized evaluation plan. `signature` captures everything the plan
   /// depends on besides the graph (substrate + energy model + chain — see
   /// PipelineEvalPlan::obtain); `build` runs at most once per signature.
-  /// Same once-entry discipline as phase_result: concurrent misses on
-  /// different signatures build in parallel.
+  /// Concurrent misses on different signatures build in parallel; a
+  /// throwing build is memoized and rethrown to every caller.
   [[nodiscard]] std::shared_ptr<const PipelineEvalPlan> eval_plan(
       const std::string& signature,
       const std::function<std::shared_ptr<const PipelineEvalPlan>()>& build)
@@ -151,7 +140,8 @@ class WorkloadContext {
   /// Number of distinct plans resident (observability / tests).
   [[nodiscard]] std::size_t eval_plan_count() const;
 
-  /// Counter aggregate over the resident plans (service `stats` response).
+  /// The plan count and the term store's counters (service `stats`
+  /// response).
   [[nodiscard]] ContextEvalStats eval_stats() const;
 
  private:
@@ -177,11 +167,6 @@ class WorkloadContext {
     std::exception_ptr error;
     std::shared_ptr<const LaneSchedule> schedule;
   };
-  struct PhaseEntry {
-    std::once_flag once;
-    std::exception_ptr error;
-    std::shared_ptr<const PhaseResult> result;
-  };
   struct PlanEntry {
     std::once_flag once;
     std::exception_ptr error;
@@ -194,11 +179,9 @@ class WorkloadContext {
   mutable std::exception_ptr reverse_error_;
   mutable std::mutex mutex_;
   mutable std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> schedules_;
-  mutable std::unordered_map<std::string, std::shared_ptr<PhaseEntry>>
-      phase_results_;
   mutable std::unordered_map<std::string, std::shared_ptr<PlanEntry>>
       eval_plans_;
-  mutable std::size_t phase_memo_overflow_ = 0;  // guarded by mutex_
+  std::unique_ptr<const TermStore> terms_;
 };
 
 }  // namespace omega

@@ -71,10 +71,7 @@ struct SpmmPhaseConfig {
   void validate() const;
 };
 
+/// Simulates one phase; memo-free like run_gemm_phase.
 [[nodiscard]] PhaseResult run_spmm_phase(const SpmmPhaseConfig& cfg);
-
-/// Shared-entry variant of run_spmm_phase; see run_gemm_phase_shared.
-[[nodiscard]] std::shared_ptr<const PhaseResult> run_spmm_phase_shared(
-    const SpmmPhaseConfig& cfg);
 
 }  // namespace omega

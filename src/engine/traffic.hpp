@@ -10,6 +10,7 @@
 #include <string>
 
 #include "arch/energy.hpp"
+#include "util/saturate.hpp"
 
 namespace omega {
 
@@ -43,7 +44,7 @@ struct TrafficCounters {
 
   [[nodiscard]] std::uint64_t gb_total() const {
     std::uint64_t t = 0;
-    for (const auto& a : gb) t += a.total();
+    for (const auto& a : gb) t = sat_add_u64(t, a.total());
     return t;
   }
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "engine/eval_core.hpp"  // resolve_phase
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/saturate.hpp"
@@ -794,12 +795,11 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
           cfg.chunks = down->chunk_grid;
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
-        po.result = run_spmm_phase(cfg);
+        po.result = resolve_phase(cfg, context);
         break;
       }
       case PhaseEngine::kDenseDense: {
         GemmPhaseConfig cfg;
-        cfg.context = context;
         cfg.rows = v;
         cfg.inner = in_w[i];
         cfg.cols = out_w[i];
@@ -826,7 +826,7 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
           cfg.chunks = down->chunk_grid;
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
-        po.result = run_gemm_phase(cfg);
+        po.result = resolve_phase(cfg, context);
         break;
       }
       case PhaseEngine::kSparseSparse: {
@@ -835,8 +835,6 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
         // nonzeros per row (lower density) mean fewer neighbor steps and
         // less metadata/operand traffic. Loop dims translate G->V, F->N,
         // V->Feat; the consumed X^T becomes the engine's B operand.
-        const CSRGraph wcsr =
-            sparse_weight_csr(in_w[i], out_w[i], p.weight_density);
         const auto translate = [](Dim d) {
           switch (d) {
             case Dim::kG: return Dim::kV;
@@ -848,7 +846,6 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
               "sparse-weight phases loop over V/F/G only");
         };
         SpmmPhaseConfig cfg;
-        cfg.graph = &wcsr;
         cfg.context = nullptr;  // the workload context is bound to the graph
         cfg.order = LoopOrder(translate(p.dataflow.order.at(0)),
                               translate(p.dataflow.order.at(1)),
@@ -875,7 +872,8 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
           cfg.chunks = transpose_chunks(down->chunk_grid);
           cfg.chunk_target = ChunkTarget::kMatrixOut;
         }
-        po.result = run_spmm_phase(cfg);
+        po.result = resolve_sparse_weight_phase(cfg, in_w[i], out_w[i],
+                                                p.weight_density, context);
         break;
       }
     }

@@ -1,7 +1,8 @@
-// Cross-layer composition: the pipeline-recurrence overflow regressions,
-// the 128-bit bandwidth-scaling regression, the chunk-grid re-tiling rule,
-// and the ModelComposer's boundary gates (residency, PE disjointness,
-// strategy eligibility) on hand-built and engine-produced layer results.
+// Cross-layer composition: the pipeline-recurrence and traffic-sum
+// overflow regressions, the 128-bit bandwidth-scaling regression, the
+// chunk-grid re-tiling rule, and the ModelComposer's boundary gates
+// (residency, PE disjointness, strategy eligibility) on hand-built and
+// engine-produced layer results.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -9,6 +10,7 @@
 #include "gnn/inference.hpp"
 #include "graph/generators.hpp"
 #include "omega/compose.hpp"
+#include "omega/omega.hpp"
 #include "util/error.hpp"
 
 namespace omega {
@@ -61,6 +63,24 @@ TEST(ComposeOverflowTest, ScaledBandwidthComputesIn128Bit) {
   // kUnbounded passes through untouched.
   EXPECT_EQ(scaled_bandwidth(AcceleratorConfig::kUnbounded, 1, 512),
             AcceleratorConfig::kUnbounded);
+}
+
+TEST(TrafficOverflowTest, WideFeaturesSaturateTheGbTotal) {
+  // Regression: the traffic sums (AccessCounts, TrafficCounters) wrapped,
+  // so a 2^58-wide input read as 1,086 GB accesses (2^40 reads as 1.5e15)
+  // and priced the widest workload as the cheapest.
+  Rng rng(11);
+  GnnWorkload w;
+  w.name = "wide";
+  w.adjacency = erdos_renyi(64, 256, rng).with_self_loops().gcn_normalized();
+  const Omega omega(default_accelerator());
+  const DataflowDescriptor df =
+      DataflowDescriptor::parse("Seq_AC(VsFsNt, VsGsFt)");
+  w.in_features = std::size_t{1} << 40;
+  EXPECT_GT(omega.run(w, LayerSpec{16}, df).traffic.gb_total(),
+            1'000'000'000'000u);
+  w.in_features = std::size_t{1} << 58;
+  EXPECT_EQ(omega.run(w, LayerSpec{16}, df).traffic.gb_total(), kMax);
 }
 
 // ---- Re-tiling --------------------------------------------------------------

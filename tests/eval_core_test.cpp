@@ -192,10 +192,10 @@ Verdicts expect_two_phase_parity(const Omega& omega, const GnnWorkload& w,
     if (::testing::Test::HasFailure()) return v;
     EXPECT_GT(hits, 0u) << pass << " pass";
   }
-  const std::uint64_t requests =
-      plans[0]->term_requests() + plans[1]->term_requests();
-  EXPECT_GE(requests, 2 * 2 * v.feasible);  // two terms, two passes
-  EXPECT_LE(plans[0]->term_builds() + plans[1]->term_builds(), requests);
+  // The context's store counts the oracle's lookups and both passes.
+  const ContextEvalStats stats = context.eval_stats();
+  EXPECT_GE(stats.term_requests, 3 * 2 * v.feasible);  // two terms, 3 runs
+  EXPECT_LE(stats.term_builds, stats.term_requests);
   return v;
 }
 
@@ -359,11 +359,12 @@ TEST(EvalCoreFuzz, PipelineBindingMutationsMatchRunPipeline) {
   EXPECT_GT(feasible, 100u);
   EXPECT_GT(infeasible, 100u);
 
+  const std::uint64_t oracle_requests = context.eval_stats().term_requests;
   for (const char* pass : {"cold", "warm"}) {
     (void)expect_plans_match(plans, cands, expected, pass);
     ASSERT_FALSE(HasFailure());
   }
-  EXPECT_GT(plans[0]->term_requests(), 0u);
+  EXPECT_GT(context.eval_stats().term_requests, oracle_requests);
 }
 
 /// Feasible bindings of `chain` with one SP-Optimized boundary each, built
@@ -687,11 +688,12 @@ std::vector<std::uint64_t> resolve_concurrently(
 }
 
 TEST(TermStoreConcurrency, AdmittedKeysBuildOnceWithinTheByteBudget) {
-  // 200 small-grid keys (always admitted) and 12 chunked keys of 100 MiB:
-  // exactly five fit kTermTimelineBudgetBytes. A refused key is built
-  // uncached by every thread's miss; an admitted one exactly once.
+  // 200 grid-free keys (always admitted below the entry ceiling) and 12
+  // chunked keys of 200 MiB: exactly five fit kTermTimelineBudgetBytes. A
+  // refused key is built uncached by every thread's miss; an admitted one
+  // exactly once.
   constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kBig = 100ull << 20;
+  constexpr std::size_t kBig = 200ull << 20;
   constexpr std::size_t kFits = kTermTimelineBudgetBytes / kBig;
   static_assert(kFits == 5);
   std::vector<std::size_t> footprints(200, 0);
@@ -703,7 +705,7 @@ TEST(TermStoreConcurrency, AdmittedKeysBuildOnceWithinTheByteBudget) {
   std::size_t admitted_big = 0;
   for (std::size_t i = 0; i < footprints.size(); ++i) {
     if (footprints[i] == 0) {
-      EXPECT_EQ(builds[i], 1u) << "small key " << i;
+      EXPECT_EQ(builds[i], 1u) << "grid-free key " << i;
     } else if (builds[i] == 1) {
       ++admitted_big;
     } else {
@@ -766,10 +768,11 @@ std::vector<DataflowDescriptor> sp_generic_candidates(const GnnWorkload& w,
 }
 
 TEST(EvalCoreSpGeneric, SweepHoldsNoChunkTimelines) {
-  // 4096 vertices: an SP-Generic row grid reaches 4096 chunks, past
-  // kPhaseMemoMaxChunks, so a chunked SP-Generic term would be charged to
-  // the timeline budget. The batched path resolves those phases grid-free,
-  // and still matches the oracle, which stages the grid.
+  // 4096 vertices: an SP-Generic row grid reaches 4096 chunks, and every
+  // chunked term is charged to the timeline budget. The batched path
+  // resolves those phases grid-free, and still matches the oracle, which
+  // stages the grid — so the oracle runs on a context of its own, whose
+  // store does hold chunked terms.
   Rng rng(31);
   GnnWorkload w;
   w.name = "spg";
@@ -777,6 +780,7 @@ TEST(EvalCoreSpGeneric, SweepHoldsNoChunkTimelines) {
   w.in_features = 16;
   const LayerSpec layer{8};
   const Omega omega(small_hw());
+  const WorkloadContext oracle_context(w.adjacency);
   const WorkloadContext context(w.adjacency);
   const std::vector<DataflowDescriptor> all =
       sp_generic_candidates(w, layer, omega.config().num_pes);
@@ -789,7 +793,7 @@ TEST(EvalCoreSpGeneric, SweepHoldsNoChunkTimelines) {
     const DataflowDescriptor& df = all[i];
     EvalOutcome want;
     try {
-      const RunResult r = omega.run(w, layer, df, context);
+      const RunResult r = omega.run(w, layer, df, oracle_context);
       want = {r.cycles, r.energy.on_chip_pj(), true};
       max_chunks = std::max(max_chunks, r.pipeline_chunks);
     } catch (const Error&) {
@@ -799,7 +803,8 @@ TEST(EvalCoreSpGeneric, SweepHoldsNoChunkTimelines) {
         omega.config().num_pes));
     expected.push_back(want);
   }
-  ASSERT_GT(max_chunks, kPhaseMemoMaxChunks);
+  ASSERT_GT(max_chunks, 2048u);
+  EXPECT_GT(oracle_context.eval_stats().term_bytes, 0u);
   const std::array<std::shared_ptr<const PipelineEvalPlan>, 2> plans = {
       PipelineEvalPlan::obtain(omega, w,
                                two_phase_chain(PhaseOrder::kAC, layer),
@@ -811,11 +816,10 @@ TEST(EvalCoreSpGeneric, SweepHoldsNoChunkTimelines) {
     (void)expect_plans_match(plans, cands, expected, pass);
     ASSERT_FALSE(HasFailure());
   }
-  for (const auto& plan : plans) {
-    EXPECT_GT(plan->term_count(), 0u);
-    EXPECT_EQ(plan->term_timeline_bytes(), 0u);
-    EXPECT_EQ(plan->pp_pairs(), 0u);
-  }
+  const ContextEvalStats stats = context.eval_stats();
+  EXPECT_GT(stats.terms, 0u);
+  EXPECT_EQ(stats.term_bytes, 0u);
+  EXPECT_EQ(stats.pp_pairs, 0u);
 }
 
 TEST(EvalCoreSpGeneric, SharesItsTermsWithTheSequentialTwin) {
@@ -831,11 +835,14 @@ TEST(EvalCoreSpGeneric, SharesItsTermsWithTheSequentialTwin) {
     if (checked == 20) break;
     DataflowDescriptor seq = spg;
     seq.inter = InterPhase::kSequential;
+    // The oracle's terms would land in the plan's context store: give the
+    // oracle a context of its own.
+    const WorkloadContext oracle_context(w.adjacency);
     const WorkloadContext context(w.adjacency);
     const EvalOutcome want_spg =
-        two_phase_oracle(omega, w, layer, spg, context);
+        two_phase_oracle(omega, w, layer, spg, oracle_context);
     const EvalOutcome want_seq =
-        two_phase_oracle(omega, w, layer, seq, context);
+        two_phase_oracle(omega, w, layer, seq, oracle_context);
     if (!want_spg.ok || !want_seq.ok) continue;
     ++checked;
     SCOPED_TRACE(spg.to_string());
@@ -854,8 +861,8 @@ TEST(EvalCoreSpGeneric, SharesItsTermsWithTheSequentialTwin) {
     const EvalOutcome got_seq = plan->evaluate(seq_cand.view(), second);
     EXPECT_EQ(second.tally.requests, 2u);
     EXPECT_EQ(second.tally.builds, 0u);
-    EXPECT_EQ(plan->term_count(), 2u);
-    EXPECT_EQ(plan->term_builds(), 2u);
+    EXPECT_EQ(context.phase_cache_size(), 2u);
+    EXPECT_EQ(context.eval_stats().term_builds, 2u);
     EXPECT_EQ(got_spg.cycles, want_spg.cycles);
     EXPECT_EQ(got_spg.on_chip_pj, want_spg.on_chip_pj);
     EXPECT_EQ(got_seq.cycles, want_seq.cycles);
@@ -1029,6 +1036,181 @@ TEST(TermStoreConcurrency, SweepTermCountersIndependentOfThreads) {
     EXPECT_EQ(stats.term_builds, first->term_builds);
     EXPECT_EQ(r.eval.term_requests, first_eval->term_requests);
   }
+}
+
+
+// ---- one term store per context --------------------------------------------
+
+TEST(ContextTermStore, SparseWeightTermsOfTwoChainsDoNotAlias) {
+  // Two chains whose sparse-weight phase sits at the same position and
+  // differs only in density share one context, hence one store: their W^T
+  // terms must be keyed by the pattern they walk, not by chain position.
+  // Both plans and both chains' run_pipeline calls resolve through that
+  // store; each must match the context-free oracle.
+  const GnnWorkload w = fuzz_workload();
+  const Omega omega(small_hw());
+  const WorkloadContext gen_context(w.adjacency);
+  const WorkloadContext context(w.adjacency);
+  PipelineChainSpec dense_w = gat_chain();
+  dense_w.phases[2].weight_density = 0.5;
+  PipelineChainSpec sparse_w = dense_w;
+  sparse_w.phases[2].weight_density = 0.1;
+
+  PipelineSearchOptions gen;
+  gen.max_candidates = 256;
+  gen.top_k = 256;
+  gen.eval_path = EvalPath::kScalar;
+  std::vector<PipelineCandidate> cands;
+  for (const RankedPipelineCandidate& rc :
+       search_pipeline_mappings(omega, w, dense_w, gen, &gen_context)
+           .ranked) {
+    cands.push_back(rc.candidate);
+  }
+  ASSERT_GT(cands.size(), 100u);
+
+  const std::array<PipelineChainSpec, 2> chains = {dense_w, sparse_w};
+  const auto run = [&](std::size_t c, const PipelineCandidate& cand,
+                       const WorkloadContext* ctx) {
+    EvalOutcome o;
+    try {
+      const PipelineResult r =
+          omega.run_pipeline(w, chains[c].bind(cand.view()), ctx);
+      o = {r.cycles, r.energy.on_chip_pj(), true};
+    } catch (const Error&) {
+    }
+    return o;
+  };
+  std::array<std::vector<EvalOutcome>, 2> want;
+  std::array<std::shared_ptr<const PipelineEvalPlan>, 2> plans;
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (const PipelineCandidate& cand : cands) {
+      want[c].push_back(run(c, cand, nullptr));
+    }
+    plans[c] = PipelineEvalPlan::obtain(omega, w, chains[c], context);
+  }
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    if (want[0][i].cycles != want[1][i].cycles) ++differ;
+  }
+  ASSERT_GT(differ, 0u) << "the densities must price some binding apart";
+
+  std::array<PipelineDeltaState, 2> states;
+  for (const char* pass : {"cold", "warm"}) {
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      for (std::size_t c = 0; c < 2; ++c) {
+        SCOPED_TRACE(cands[i].key() + " density " +
+                     std::to_string(chains[c].phases[2].weight_density) +
+                     " (" + pass + " pass)");
+        for (const EvalOutcome& got :
+             {plans[c]->evaluate(cands[i].view(), states[c]),
+              run(c, cands[i], &context)}) {
+          EXPECT_EQ(got.ok, want[c][i].ok);
+          EXPECT_EQ(got.cycles, want[c][i].cycles);
+          EXPECT_EQ(got.on_chip_pj, want[c][i].on_chip_pj);
+        }
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(ContextTermStore, BigGridRunPathIsCachedAndExact) {
+  // A PP descriptor on 4096 vertices with a grid of more than 2048 chunks:
+  // Omega::run with a context resolves both phases through the store,
+  // bit-identical to the context-free run, and a revisit builds nothing.
+  Rng rng(31);
+  GnnWorkload w;
+  w.name = "pp-big";
+  w.adjacency = rmat(12, 16384, rng).with_self_loops().gcn_normalized();
+  w.in_features = 16;
+  const LayerSpec layer{8};
+  const Omega omega(small_hw());
+  SearchOptions gen;
+  gen.include_ca = true;
+  std::optional<DataflowDescriptor> pick;
+  RunResult fresh;
+  for (const DataflowDescriptor& df : enumerate_search_candidates(
+           gen, dims_of(w, layer), omega.config().num_pes)) {
+    if (df.inter != InterPhase::kParallelPipeline) continue;
+    try {
+      fresh = omega.run(w, layer, df);
+    } catch (const Error&) {
+      continue;
+    }
+    if (fresh.pipeline_chunks > 2048) {
+      pick = df;
+      break;
+    }
+  }
+  ASSERT_TRUE(pick.has_value());
+  SCOPED_TRACE(pick->to_string());
+
+  const WorkloadContext context(w.adjacency);
+  const RunResult cold = omega.run(w, layer, *pick, context);
+  const ContextEvalStats after_cold = context.eval_stats();
+  const RunResult warm = omega.run(w, layer, *pick, context);
+  const ContextEvalStats after_warm = context.eval_stats();
+  for (const RunResult* r : {&cold, &warm}) {
+    EXPECT_EQ(r->cycles, fresh.cycles);
+    EXPECT_EQ(r->energy.on_chip_pj(), fresh.energy.on_chip_pj());
+    EXPECT_EQ(r->traffic.gb_total(), fresh.traffic.gb_total());
+    EXPECT_EQ(r->traffic.rf.total(), fresh.traffic.rf.total());
+    EXPECT_EQ(r->agg.chunk_cycles, fresh.agg.chunk_cycles);
+    EXPECT_EQ(r->agg.chunk_completion, fresh.agg.chunk_completion);
+    EXPECT_EQ(r->cmb.chunk_cycles, fresh.cmb.chunk_cycles);
+    EXPECT_EQ(r->cmb.chunk_completion, fresh.cmb.chunk_completion);
+  }
+  EXPECT_EQ(after_cold.terms, 2u);
+  EXPECT_EQ(after_cold.term_builds, 2u);
+  EXPECT_EQ(after_cold.term_bytes, 2 * fresh.pipeline_chunks * 16);
+  EXPECT_EQ(after_warm.term_requests, 4u);
+  EXPECT_EQ(after_warm.term_builds, 2u);
+}
+
+TEST(ContextTermStore, InfeasibleConfigRethrowsTheEngineError) {
+  // PP at a 10% aggregation share leaves the aggregation phase too few PEs
+  // for a tiling the whole array fits: the engine's validate rejects it.
+  // Through a context the store caches the rejection as a null term, and
+  // the first call and every revisit throw the engine's own message.
+  const GnnWorkload w = fuzz_workload();
+  const LayerSpec layer{16};
+  const Omega omega(small_hw());
+  SearchOptions gen;
+  gen.include_ca = true;
+  const auto message = [&](const DataflowDescriptor& df,
+                           const WorkloadContext* context) -> std::string {
+    try {
+      if (context == nullptr) {
+        (void)omega.run(w, layer, df);
+      } else {
+        (void)omega.run(w, layer, df, *context);
+      }
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  std::optional<DataflowDescriptor> pick;
+  std::string want;
+  for (DataflowDescriptor df : enumerate_search_candidates(
+           gen, dims_of(w, layer), omega.config().num_pes)) {
+    if (df.inter != InterPhase::kParallelPipeline) continue;
+    df.pp_agg_pe_fraction = 0.1;
+    want = message(df, nullptr);
+    if (want.find("spatial tile footprint") != std::string::npos) {
+      pick = df;
+      break;
+    }
+  }
+  ASSERT_TRUE(pick.has_value());
+  SCOPED_TRACE(pick->to_string());
+
+  const WorkloadContext context(w.adjacency);
+  EXPECT_EQ(message(*pick, &context), want);
+  const ContextEvalStats first = context.eval_stats();
+  EXPECT_GT(first.terms, 0u);  // the rejection is cached
+  EXPECT_EQ(message(*pick, &context), want);
+  EXPECT_EQ(context.eval_stats().term_builds, first.term_builds);
 }
 
 }  // namespace
