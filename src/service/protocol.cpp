@@ -612,31 +612,8 @@ Request parse_request(const std::string& line) {
   return r;
 }
 
-namespace {
-
-bool kind_is(const std::string& line, std::initializer_list<const char*> any) {
-  // omega-lint: allow(uncaught-escape): parse probe; malformed lines return false, non-Error escapes reach the handler catch-all
-  try {
-    const JsonValue root = JsonValue::parse(line);
-    const JsonValue* kind = root.find("kind");
-    if (kind == nullptr || !kind->is_string()) return false;
-    for (const char* k : any) {
-      if (kind->as_string() == k) return true;
-    }
-    return false;
-  } catch (const Error&) {
-    return false;  // malformed lines get their error response concurrently
-  }
-}
-
-}  // namespace
-
-bool is_stats_request(const std::string& line) {
-  return kind_is(line, {"stats"});
-}
-
 bool is_barrier_request(const std::string& line) {
-  return kind_is(line, {"stats", "metrics"});
+  return peek_request_scheduling(line).barrier;
 }
 
 std::uint64_t peek_request_id(const std::string& line) {
@@ -662,6 +639,11 @@ RequestScheduling peek_request_scheduling(const std::string& line) {
     if (const JsonValue* id = root.find("id");
         id != nullptr && id->is_number()) {
       s.id = id->as_u64();
+    }
+    if (const JsonValue* kind = root.find("kind");
+        kind != nullptr && kind->is_string()) {
+      s.barrier =
+          kind->as_string() == "stats" || kind->as_string() == "metrics";
     }
     if (const JsonValue* v = root.find("version");
         v != nullptr && v->is_number()) {

@@ -209,12 +209,15 @@ void RequestScheduler::process(Entry e) {
     response =
         error_response(e.meta.id, "Internal", ex.what(), e.meta.version);
   }
-  e.done(std::move(response), /*shed=*/false);
+  // Recorded before the completion runs: a session counts the request as
+  // in flight until its completion has run, so a metrics barrier that
+  // drains the session sees every earlier request's latency sample.
   if (options_.metrics != nullptr) {
     options_.metrics->observe(
         band_metric("service.sched.latency_us.band", band),
         now_us() - e.admit_us);
   }
+  e.done(std::move(response), /*shed=*/false);
 }
 
 bool RequestScheduler::run_one() {

@@ -1,10 +1,9 @@
 // Priority/deadline request scheduler of the serving core (see DESIGN.md
 // "Serving core").
 //
-// The streaming transports (TCP and the Unix-socket path) do not dispatch
-// batch-concurrently like the stdio path; every request line is submitted
-// here instead. The scheduler is a bounded admission queue in front of the
-// request handler:
+// Every transport (stdio, Unix socket, TCP) submits each request line
+// here from its streaming session (tcp.hpp). The scheduler is a bounded
+// admission queue in front of the request handler:
 //
 //  * requests carry a priority band (0 = lowest .. bands-1 = highest) and an
 //    optional relative deadline; dispatch picks the highest non-empty band
@@ -29,8 +28,8 @@
 // dispatch threads are cheap waiters, not a second compute pool.
 //
 // Determinism: dispatch order between concurrent workers is scheduling-
-// dependent, but the transports re-order responses per (connection,
-// band) — see tcp.hpp — so client-visible bytes stay deterministic. The
+// dependent, but the sessions re-order responses per (stream, band) — see
+// tcp.hpp — so client-visible bytes stay deterministic. The
 // policy itself is exact and testable single-threaded through run_one(),
 // and the clock is injectable so deadline sheds are reproducible in tests.
 #pragma once

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <functional>
+#include <istream>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <ostream>
+#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -30,6 +35,204 @@
 #endif
 
 namespace omega::service {
+
+namespace {
+
+/// Where a session reads its next request line (nullopt = end of stream).
+using LineSource = std::function<std::optional<std::string>()>;
+/// Where a session writes response frames (each line ends in '\n'); may
+/// throw, which silences the rest of the stream.
+using FrameWriter = std::function<void(const std::string&)>;
+
+/// Per-stream emission state. Completions land here from scheduler
+/// threads; responses are written in per-band submission order (the
+/// ordering contract — see tcp.hpp).
+struct Session {
+  Session(FrameWriter write_in, std::size_t bands)
+      : write(std::move(write_in)), next_submit(bands, 0),
+        next_emit(bands, 0), pending(bands) {}
+
+  const FrameWriter write;
+  std::mutex mu;
+  std::condition_variable resumed;  // in_flight fell to resume_at
+  std::vector<std::uint64_t> next_submit;  // per band
+  std::vector<std::uint64_t> next_emit;    // per band
+  /// Out-of-order completions parked until their band's emission cursor
+  /// reaches them, keyed by submission sequence.
+  std::vector<std::map<std::uint64_t, std::string>> pending;
+  /// Emitted frames, in order, that no thread has written yet.
+  std::string outbox;
+  std::size_t outbox_frames = 0;
+  bool writing = false;       // a completion thread is writing the outbox
+  std::size_t in_flight = 0;  // submitted, not yet written
+  /// The reader is waiting for in_flight <= resume_at; completions wake it
+  /// only once it can go on.
+  bool reader_waiting = false;
+  std::size_t resume_at = 0;
+  bool write_failed = false;  // peer gone: drain silently, daemon lives
+};
+
+/// Moves every response that is next in its band's submission order to the
+/// outbox. Session mutex must be held.
+void emit_ready_locked(Session& s, std::size_t band) {
+  auto& slots = s.pending[band];
+  while (!slots.empty() && slots.begin()->first == s.next_emit[band]) {
+    s.outbox += slots.begin()->second;
+    s.outbox.push_back('\n');
+    ++s.outbox_frames;
+    slots.erase(slots.begin());
+    ++s.next_emit[band];
+  }
+}
+
+/// Writes the outbox with the session mutex released, one writer at a time:
+/// frames keep their order, and those emitted while a write is under way
+/// go out together in the writer's next round. `lock` holds the mutex.
+void write_outbox(Session& s, std::unique_lock<std::mutex>& lock) {
+  if (s.writing) return;
+  s.writing = true;
+  while (!s.outbox.empty()) {
+    const std::string frames = std::exchange(s.outbox, {});
+    const std::size_t written = std::exchange(s.outbox_frames, 0);
+    lock.unlock();
+    if (!s.write_failed) {
+      try {
+        s.write(frames);
+      } catch (const std::exception&) {
+        s.write_failed = true;
+      }
+    }
+    lock.lock();
+    s.in_flight -= written;
+    if (s.reader_waiting && s.in_flight <= s.resume_at) {
+      s.resumed.notify_one();
+    }
+  }
+  s.writing = false;
+}
+
+/// If more than `high` of the session's requests are in flight, blocks
+/// until at most `low` are.
+void wait_in_flight(Session& s, std::size_t high, std::size_t low) {
+  std::unique_lock lock(s.mu);
+  if (s.in_flight <= high) return;
+  s.resume_at = low;
+  s.reader_waiting = true;
+  s.resumed.wait(lock, [&s, low] { return s.in_flight <= low; });
+  s.reader_waiting = false;
+}
+
+/// One request stream on any transport: reads lines, submits them to the
+/// shared scheduler, and streams completions back. The next line is read
+/// only while fewer than the scheduler's max_queue_depth of this stream's
+/// requests are in flight, so a stream never sheds itself; overload across
+/// streams still sheds. Never throws (a dropped connection must not take
+/// down the accept loop). Returns the number of requests submitted.
+std::size_t run_session(RequestScheduler& scheduler,
+                        const LineSource& next_line, FrameWriter write) {
+  const std::size_t bands = scheduler.options().bands;
+  const std::size_t window = scheduler.options().max_queue_depth;
+  Session s(std::move(write), bands);
+  std::size_t submitted = 0;
+  try {
+    for (;;) {
+      // A full window refills in bulk: the reader resumes once half of it
+      // is written instead of being woken by every response.
+      wait_in_flight(s, window - 1, window / 2);
+      std::optional<std::string> line = next_line();
+      if (!line.has_value()) break;
+      // A blank line is a barrier that emits nothing (the batch boundary
+      // of a request file). Stats/metrics barriers keep their counters
+      // deterministic per stream: every prior request finishes and emits
+      // before the barrier dispatches, and the barrier emits before
+      // anything after it is submitted.
+      if (trim(*line).empty()) {
+        wait_in_flight(s, 0, 0);
+        continue;
+      }
+      const RequestScheduling sched = peek_request_scheduling(*line);
+      const bool barrier = sched.barrier;
+      if (barrier) wait_in_flight(s, 0, 0);
+      SubmitMeta meta;
+      meta.id = sched.id;
+      meta.version = sched.version;
+      meta.priority = sched.priority;
+      meta.deadline_ms = sched.deadline_ms;
+      const std::uint64_t band =
+          std::min<std::uint64_t>(sched.priority, bands - 1);
+      std::uint64_t seq = 0;
+      {
+        const std::scoped_lock lock(s.mu);
+        seq = s.next_submit[band]++;
+        ++s.in_flight;
+      }
+      // Shed completions flow through the same path as handled responses,
+      // so they too respect per-band order and reach the client as
+      // structured errors rather than a dropped connection.
+      (void)scheduler.submit(
+          std::move(*line), meta,
+          [&s, band, seq](std::string response, bool /*shed*/) {
+            std::unique_lock lock(s.mu);
+            s.pending[band].emplace(seq, std::move(response));
+            emit_ready_locked(s, band);
+            write_outbox(s, lock);
+          });
+      ++submitted;
+      if (barrier) wait_in_flight(s, 0, 0);
+    }
+  } catch (const std::exception&) {
+    // Stream-level failure (peer vanished, oversized line); fall through
+    // to the drain so no in-flight completion touches a dead session.
+  }
+  wait_in_flight(s, 0, 0);
+  return submitted;
+}
+
+/// The scheduler a server's sessions share, started: handle_line behind
+/// the ServeOptions admission bound, dispatch threads and deadline floor,
+/// recording service.sched.* into the service's metrics. Destruction
+/// drains and stops it.
+std::unique_ptr<RequestScheduler> start_scheduler(
+    MappingService& service, const ServeOptions& options) {
+  SchedulerOptions so;
+  so.workers = options.scheduler_threads;
+  so.max_queue_depth = options.queue_depth;
+  so.min_feasible_deadline_ms = options.min_feasible_deadline_ms;
+  so.metrics = &service.metrics_mut();
+  auto scheduler = std::make_unique<RequestScheduler>(
+      [&service](const std::string& line) { return service.handle_line(line); },
+      so);
+  scheduler->start();
+  return scheduler;
+}
+
+}  // namespace
+
+std::size_t MappingService::serve(std::istream& in, std::ostream& out,
+                                  const ServeOptions& options) {
+  const auto scheduler = start_scheduler(*this, options);
+  return run_session(
+      *scheduler,
+      [&in]() -> std::optional<std::string> {
+        std::string line;
+        if (!std::getline(in, line)) return std::nullopt;
+        return line;
+      },
+      [&out](const std::string& frame) { out << frame << std::flush; });
+}
+
+std::vector<std::string> MappingService::serve_lines(
+    const std::vector<std::string>& lines, const ServeOptions& options) {
+  std::string input;
+  for (const std::string& line : lines) input += line + "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  (void)serve(in, out, options);
+  std::vector<std::string> responses;
+  std::istringstream reread(out.str());
+  for (std::string l; std::getline(reread, l);) responses.push_back(l);
+  return responses;
+}
 
 #if OMEGA_HAVE_SOCKETS
 
@@ -134,105 +337,6 @@ class LineFramer {
   bool eof_ = false;
 };
 
-/// Per-connection emission state. Completions land here from scheduler
-/// threads; responses are written in per-band submission order (the
-/// transport's ordering contract — see tcp.hpp).
-struct Session {
-  Session(int fd_in, std::size_t bands)
-      : fd(fd_in), next_submit(bands, 0), next_emit(bands, 0),
-        pending(bands) {}
-
-  const int fd;
-  std::mutex mu;
-  std::condition_variable drained;  // in_flight reached 0
-  std::vector<std::uint64_t> next_submit;  // per band
-  std::vector<std::uint64_t> next_emit;    // per band
-  /// Out-of-order completions parked until their band's emission cursor
-  /// reaches them, keyed by submission sequence.
-  std::vector<std::map<std::uint64_t, std::string>> pending;
-  std::size_t in_flight = 0;  // submitted, not yet emitted
-  bool write_failed = false;  // peer gone: drain silently, daemon lives
-};
-
-/// Writes every response that is next in its band's submission order.
-/// Session mutex must be held (serializes writes across bands so frames
-/// never interleave).
-void emit_ready_locked(Session& s, std::size_t band) {
-  auto& slots = s.pending[band];
-  while (!slots.empty() && slots.begin()->first == s.next_emit[band]) {
-    if (!s.write_failed) {
-      try {
-        std::string frame = std::move(slots.begin()->second);
-        frame.push_back('\n');
-        write_all(s.fd, frame);
-      } catch (const std::exception&) {
-        s.write_failed = true;
-      }
-    }
-    slots.erase(slots.begin());
-    ++s.next_emit[band];
-    --s.in_flight;
-  }
-  if (s.in_flight == 0) s.drained.notify_all();
-}
-
-void wait_drained(Session& s) {
-  std::unique_lock lock(s.mu);
-  s.drained.wait(lock, [&s] { return s.in_flight == 0; });
-}
-
-/// One connection: read lines, submit to the shared scheduler, stream
-/// completions back. Owns the fd; never throws (a dropped connection must
-/// not take down the accept loop).
-void run_session(RequestScheduler& scheduler, int fd) {
-  const std::size_t bands = scheduler.options().bands;
-  Session s(fd, bands);
-  try {
-    LineFramer framer(fd);
-    std::optional<std::string> line;
-    while ((line = framer.next_line()).has_value()) {
-      if (trim(*line).empty()) continue;  // batch separators: no-ops here
-      // Barriers (stats/metrics) keep their handle_batch determinism per
-      // connection: every prior request finishes and emits before the
-      // barrier dispatches, and the barrier emits before anything after it
-      // is submitted.
-      const bool barrier = is_barrier_request(*line);
-      if (barrier) wait_drained(s);
-      const RequestScheduling sched = peek_request_scheduling(*line);
-      SubmitMeta meta;
-      meta.id = sched.id;
-      meta.version = sched.version;
-      meta.priority = sched.priority;
-      meta.deadline_ms = sched.deadline_ms;
-      const std::uint64_t band =
-          std::min<std::uint64_t>(sched.priority, bands - 1);
-      std::uint64_t seq = 0;
-      {
-        const std::scoped_lock lock(s.mu);
-        seq = s.next_submit[band]++;
-        ++s.in_flight;
-      }
-      // Shed completions flow through the same path as handled responses,
-      // so they too respect per-band order and reach the client as
-      // structured errors rather than a dropped connection.
-      (void)scheduler.submit(
-          std::move(*line), meta,
-          [&s, band, seq](std::string response, bool /*shed*/) {
-            const std::scoped_lock lock(s.mu);
-            s.pending[band].emplace(seq, std::move(response));
-            emit_ready_locked(s, band);
-          });
-      if (barrier) wait_drained(s);
-    }
-  } catch (const std::exception&) {
-    // Connection-level failure (peer vanished, oversized line); fall
-    // through to the drain so no in-flight completion touches a dead
-    // session, then drop the connection. The daemon lives on.
-  }
-  wait_drained(s);
-  ::close(fd);
-}
-
 [[noreturn]] void throw_errno(const std::string& what) {
   throw Error(what + ": " + std::strerror(errno));
 }
@@ -292,6 +396,22 @@ int connect_unix_fd(const std::string& path) {
     throw Error("cannot connect to " + path + ": " + why);
   }
   return fd;
+}
+
+/// Batch exchange on a connected socket: sends `requests`, half-closes so
+/// the daemon sees end-of-stream, and returns every response byte. Closes
+/// `fd` on every path.
+std::string exchange_batch(int fd, const std::string& requests) {
+  try {
+    write_all(fd, requests);
+    (void)::shutdown(fd, SHUT_WR);
+    std::string responses = read_all(fd);
+    ::close(fd);
+    return responses;
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
 }
 
 }  // namespace
@@ -396,15 +516,7 @@ Listener Listener::unix_socket(const std::string& path, int backlog) {
 
 int serve_on(MappingService& service, Listener& listener,
              const ServeOptions& options) {
-  SchedulerOptions so;
-  so.workers = options.scheduler_threads;
-  so.max_queue_depth = options.queue_depth;
-  so.min_feasible_deadline_ms = options.min_feasible_deadline_ms;
-  so.metrics = &service.metrics_mut();
-  RequestScheduler scheduler(
-      [&service](const std::string& line) { return service.handle_line(line); },
-      so);
-  scheduler.start();
+  const auto scheduler = start_scheduler(service, options);
 
   // Session threads are reaped as they finish (a long-lived daemon must not
   // accumulate one joinable thread per past connection): each session
@@ -449,13 +561,18 @@ int serve_on(MappingService& service, Listener& listener,
     reap(/*all=*/false);
     const std::uint64_t id = next_id++;
     active.emplace(id, std::thread([&scheduler, &reap_mu, &done, conn, id] {
-                     run_session(scheduler, conn);
+                     LineFramer framer(conn);
+                     (void)run_session(
+                         *scheduler, [&framer] { return framer.next_line(); },
+                         [conn](const std::string& frame) {
+                           write_all(conn, frame);
+                         });
+                     ::close(conn);
                      const std::scoped_lock lock(reap_mu);
                      done.push_back(id);
                    }));
   }
   reap(/*all=*/true);
-  scheduler.stop();
   if (!failure.empty()) throw Error(failure);
   return 0;
 }
@@ -470,13 +587,6 @@ int serve_unix_socket(MappingService& service, const std::string& path,
                       const ServeOptions& options) {
   Listener listener = Listener::unix_socket(path, options.backlog);
   return serve_on(service, listener, options);
-}
-
-int serve_unix_socket(MappingService& service, const std::string& path,
-                      std::size_t max_connections) {
-  ServeOptions options;
-  options.max_connections = max_connections;
-  return serve_unix_socket(service, path, options);
 }
 
 StreamClient::StreamClient(StreamClient&& other) noexcept
@@ -539,32 +649,12 @@ std::optional<std::string> StreamClient::read_line() {
 
 std::string send_to_tcp(const std::string& host, std::uint16_t port,
                         const std::string& requests) {
-  const int fd = connect_tcp_fd(host, port);
-  try {
-    write_all(fd, requests);
-    (void)::shutdown(fd, SHUT_WR);  // signals end-of-stream to the daemon
-    std::string responses = read_all(fd);
-    ::close(fd);
-    return responses;
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
+  return exchange_batch(connect_tcp_fd(host, port), requests);
 }
 
 std::string send_to_unix_socket(const std::string& path,
                                 const std::string& requests) {
-  const int fd = connect_unix_fd(path);
-  try {
-    write_all(fd, requests);
-    (void)::shutdown(fd, SHUT_WR);  // signals end-of-stream to the daemon
-    std::string responses = read_all(fd);
-    ::close(fd);
-    return responses;
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
+  return exchange_batch(connect_unix_fd(path), requests);
 }
 
 #else  // !OMEGA_HAVE_SOCKETS
@@ -592,9 +682,6 @@ int serve_tcp(MappingService&, const std::string&, std::uint16_t,
 }
 int serve_unix_socket(MappingService&, const std::string&,
                       const ServeOptions&) {
-  no_sockets();
-}
-int serve_unix_socket(MappingService&, const std::string&, std::size_t) {
   no_sockets();
 }
 

@@ -1,38 +1,41 @@
-// Streaming socket transports of the serving core (see DESIGN.md "Serving
-// core").
+// Streaming transports of the serving core (see DESIGN.md "Serving core").
 //
-// Unlike the legacy Unix-socket exchange — which buffered a connection's
-// entire request stream before dispatching and wrote every response back in
-// one piece — these transports frame NDJSON incrementally: a connection
-// thread reads one line at a time, submits it to the shared request
-// scheduler, and completions stream back the moment each request finishes.
-// A fast request no longer waits behind a slow search at a batch barrier.
+// Every transport runs one request loop, the session: it reads one NDJSON
+// line at a time, submits it to the shared request scheduler, and each
+// response streams back the moment it is next in order. Stdio
+// (MappingService::serve), Unix sockets and TCP differ only in where lines
+// come from and where frames go.
 //
 // Concurrency model:
 //
-//  * one accept loop per server; every accepted connection gets its own
-//    session thread (reads + submits), and the scheduler's dispatch threads
-//    execute requests and write responses back;
-//  * the server-wide scheduler spans connections, so priority bands and the
-//    admission bound apply to total load, not per-connection load.
+//  * stdio runs one session on the calling thread; a socket server runs
+//    one accept loop, and every accepted connection gets its own session
+//    thread (reads + submits). The scheduler's dispatch threads execute
+//    requests and write responses back;
+//  * a server's scheduler spans its sessions, so priority bands and the
+//    admission bound apply to total load. A session reads its next line
+//    only while fewer than `queue_depth` of its own requests are in
+//    flight (a full window resumes once half of it has drained), so one
+//    stream never sheds itself; a flood across connections still sheds.
 //
-// Ordering contract (changed from the batch transports, pinned by tests):
-// responses stream in **per-connection request order within a priority
-// band**. Requests of one connection and band emit in submission order even
-// when they execute out of order or concurrently; requests in different
-// bands (or on different connections) may interleave freely. Since v1
-// requests carry no priority they all share band 0, so a v1 request stream
-// over one connection still yields byte-identical response order to the
-// stdio batch path. Barrier requests (stats/metrics) drain the connection's
-// in-flight requests before and after dispatch, keeping their counters
-// deterministic per connection exactly as handle_batch's segment barriers
-// do per batch.
+// Ordering contract (pinned by tests): responses stream in **per-stream
+// request order within a priority band**. Requests of one stream and band
+// emit in submission order even when they execute out of order or
+// concurrently; requests in different bands (or on different connections)
+// may interleave freely. v1 requests carry no priority, so they all share
+// band 0 and a v1 stream yields its responses in request order on every
+// transport. Barriers keep counters deterministic per stream: stats/metrics
+// requests drain the stream's in-flight requests before and after
+// dispatch, and a blank line drains them and emits nothing.
 //
-// Backpressure caveat: responses are written under a per-session mutex from
-// scheduler threads; a peer that stops reading eventually blocks those
-// writes. Well-behaved streaming clients read concurrently with sending
-// (StreamClient does); the legacy send-all-then-read exchange stays safe
-// for batches that fit the socket buffers.
+// Backpressure caveat: responses are written by one scheduler thread at a
+// time per session (outside the session lock, taking every frame emitted
+// meanwhile in one write) while the session still reads; a peer that stops
+// reading eventually blocks that writer and then the session's reader, on
+// stdio pipes as on sockets.
+// Well-behaved streaming clients read concurrently with sending
+// (StreamClient does); the send-all-then-read exchange stays safe for
+// batches that fit the socket (or pipe) buffers.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +46,15 @@ namespace omega::service {
 
 class MappingService;
 
-/// Transport + scheduling knobs of a streaming server (TCP or Unix socket).
+/// Transport + scheduling knobs of a streaming server (stdio, TCP or Unix
+/// socket; the connection and backlog knobs apply to sockets only).
 struct ServeOptions {
   /// Accept this many connections then return (0 = serve until killed).
   std::size_t max_connections = 0;
   /// listen() backlog (pending-accept queue length).
   int backlog = 64;
-  /// Scheduler admission bound: requests waiting across all connections.
+  /// Scheduler admission bound: requests waiting across all streams. Also
+  /// each stream's in-flight window.
   std::size_t queue_depth = 256;
   /// Scheduler dispatch threads (0 = one per hardware thread).
   std::size_t scheduler_threads = 0;
@@ -104,10 +109,8 @@ int serve_on(MappingService& service, Listener& listener,
 int serve_tcp(MappingService& service, const std::string& bind_addr,
               std::uint16_t port, const ServeOptions& options = {});
 
-/// Streaming Unix-socket server with full options. The legacy
-/// `serve_unix_socket(service, path, max_connections)` signature in
-/// server.hpp wraps this with default options (no default argument here —
-/// it would make two-argument calls ambiguous against that overload).
+/// Binds a Unix-domain socket at `path` (see Listener::unix_socket) and
+/// runs serve_on.
 int serve_unix_socket(MappingService& service, const std::string& path,
                       const ServeOptions& options);
 
@@ -140,10 +143,12 @@ class StreamClient {
   std::string buffer_;  // framing carry-over between read_line calls
 };
 
-/// Batch-exchange TCP client (mirrors send_to_unix_socket): connects, sends
-/// `requests`, half-closes, returns every response byte.
+/// Batch-exchange clients: connect, send `requests` (NDJSON), half-close
+/// the write side, and return every response byte the daemon sends back.
 [[nodiscard]] std::string send_to_tcp(const std::string& host,
                                       std::uint16_t port,
                                       const std::string& requests);
+[[nodiscard]] std::string send_to_unix_socket(const std::string& path,
+                                              const std::string& requests);
 
 }  // namespace omega::service

@@ -310,5 +310,25 @@ TEST(SchedulerTest, EmitsQueueAndShedMetrics) {
   EXPECT_EQ(snap.histograms.count("service.sched.latency_us.band4"), 1u);
 }
 
+TEST(SchedulerTest, RecordsLatencyBeforeTheCompletionRuns) {
+  // A session counts a request as in flight until its completion has run,
+  // so a metrics barrier that drains the session must find the sample.
+  obs::MetricsRegistry metrics;
+  RecordingHandler handler;
+  SchedulerOptions opts;
+  opts.now_us = [] { return std::uint64_t{0}; };
+  opts.metrics = &metrics;
+  std::uint64_t samples_at_completion = 0;
+  RequestScheduler sched(handler.fn(), opts);
+  (void)sched.submit("a", meta_of(1, 3), [&](std::string, bool) {
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    const auto it = snap.histograms.find("service.sched.latency_us.band3");
+    if (it != snap.histograms.end()) samples_at_completion = it->second.count();
+  });
+  while (sched.run_one()) {
+  }
+  EXPECT_EQ(samples_at_completion, 1u);
+}
+
 }  // namespace
 }  // namespace omega::service

@@ -357,6 +357,7 @@ TEST(ProtocolTest, PeekRequestSchedulingNeverThrows) {
   EXPECT_EQ(sched.version, 2u);
   EXPECT_EQ(sched.priority, 6u);
   EXPECT_EQ(sched.deadline_ms, 40u);
+  EXPECT_TRUE(sched.barrier);
   // v1 lines (even with bogus scheduling keys) peek as band 0 — the shed
   // path and the parse error path must agree on the band.
   const RequestScheduling v1 =
@@ -368,6 +369,7 @@ TEST(ProtocolTest, PeekRequestSchedulingNeverThrows) {
   const RequestScheduling junk = peek_request_scheduling("{nonsense");
   EXPECT_EQ(junk.id, 0u);
   EXPECT_EQ(junk.priority, 0u);
+  EXPECT_FALSE(junk.barrier);
 }
 
 TEST(ServiceTest, PipelineEvaluateRoundTrip) {
@@ -543,10 +545,10 @@ TEST(ServiceDeterminismTest, WarmAndColdResponsesAreByteIdentical) {
   MappingService cold(cold_opts);
   MappingService warm;  // default capacity
   const auto batch = mixed_batch();
-  const auto cold_responses = cold.handle_batch(batch);
-  const auto warm_responses = warm.handle_batch(batch);
+  const auto cold_responses = cold.serve_lines(batch);
+  const auto warm_responses = warm.serve_lines(batch);
   // Replay on the now-warm registry: still identical.
-  const auto warm_again = warm.handle_batch(batch);
+  const auto warm_again = warm.serve_lines(batch);
   EXPECT_EQ(cold_responses, warm_responses);
   EXPECT_EQ(warm_responses, warm_again);
   EXPECT_GT(warm.registry().stats().hits, 0u);
@@ -556,10 +558,9 @@ TEST(ServiceDeterminismTest, ResponsesAreByteIdenticalAcrossThreadCounts) {
   const auto batch = mixed_batch();
   std::vector<std::vector<std::string>> per_threads;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ServiceOptions opts;
-    opts.threads = threads;
-    MappingService svc(opts);
-    per_threads.push_back(svc.handle_batch(batch));
+    MappingService svc;
+    per_threads.push_back(
+        svc.serve_lines(batch, {.scheduler_threads = threads}));
   }
   EXPECT_EQ(per_threads[0], per_threads[1]);
 }
@@ -596,7 +597,7 @@ TEST(ServeStreamTest, UnixSocketRoundTrip) {
   MappingService svc;
   std::thread server([&] {
     try {
-      serve_unix_socket(svc, path, /*max_connections=*/1);
+      serve_unix_socket(svc, path, ServeOptions{.max_connections = 1});
     } catch (const Error&) {
       // Surfaced through the client-side assertions below.
     }
@@ -622,6 +623,27 @@ TEST(ServeStreamTest, UnixSocketRoundTrip) {
   EXPECT_EQ(JsonValue::parse(lines[1]).find("id")->as_u64(), 22u);
 }
 
+TEST(ServeStreamTest, InfeasibleDeadlineShedsOverStdio) {
+  // Stdio runs the scheduler like the sockets do, so a deadline below the
+  // feasibility floor is shed at admission with id and version echoed;
+  // the stream carries on.
+  MappingService svc;
+  const std::vector<std::string> responses = svc.serve_lines(
+      {R"({"id":7,"version":2,"deadline_ms":1,"kind":"evaluate","workload":)" +
+           std::string(kCoraQuarter) + R"(,"out_features":16,"pattern":"SP2"})",
+       line_evaluate(8)},
+      {.min_feasible_deadline_ms = 1000});
+  ASSERT_EQ(responses.size(), 2u);
+  const JsonValue shed = JsonValue::parse(responses[0]);
+  EXPECT_EQ(shed.find("id")->as_u64(), 7u);
+  EXPECT_EQ(shed.find("version")->as_u64(), 2u);
+  EXPECT_FALSE(shed.find("ok")->as_bool());
+  EXPECT_EQ(shed.find("error")->find("type")->as_string(), "overloaded");
+  const JsonValue next = JsonValue::parse(responses[1]);
+  EXPECT_EQ(next.find("id")->as_u64(), 8u);
+  EXPECT_TRUE(next.find("ok")->as_bool());
+}
+
 // ---- Observability: v2 metrics request + stats entries ----------------------
 
 TEST(MetricsRequestTest, MetricsRequiresVersionTwo) {
@@ -639,7 +661,7 @@ TEST(MetricsRequestTest, MetricsRequiresVersionTwo) {
 
 TEST(MetricsRequestTest, SnapshotReflectsPrecedingRequestsDeterministically) {
   MappingService svc;
-  const auto responses = svc.handle_batch(
+  const auto responses = svc.serve_lines(
       {line_evaluate(1), line_evaluate(2),
        R"({"id":3,"version":2,"kind":"metrics"})"});
   ASSERT_EQ(responses.size(), 3u);
@@ -670,6 +692,28 @@ TEST(MetricsRequestTest, SnapshotReflectsPrecedingRequestsDeterministically) {
   EXPECT_EQ(lat->find("count")->as_u64(), 2u);
 }
 
+TEST(MetricsRequestTest, SchedulerLatencyCountsEveryEarlierRequestOverStdio) {
+  // The scheduler records a request's latency before its response is
+  // emitted, so a metrics barrier that drains the stream counts every
+  // earlier request, whatever the thread timing.
+  constexpr std::uint64_t kRequests = 16;
+  for (int round = 0; round < 5; ++round) {
+    MappingService svc;
+    std::vector<std::string> lines;
+    for (std::uint64_t i = 1; i <= kRequests; ++i) {
+      lines.push_back(line_evaluate(i));
+    }
+    lines.push_back(R"({"id":99,"version":2,"kind":"metrics"})");
+    const auto responses = svc.serve_lines(lines, {.scheduler_threads = 4});
+    ASSERT_EQ(responses.size(), kRequests + 1);
+    const JsonValue m = JsonValue::parse(responses.back());
+    const JsonValue* lat = m.find("metrics")->find("histograms")->find(
+        "service.sched.latency_us.band0");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->find("count")->as_u64(), kRequests) << "round " << round;
+  }
+}
+
 TEST(MetricsRequestTest, PpPairCountersAppearOnlyInMetrics) {
   // The PP pair memo's counters are metrics-only (a recurrence count can
   // depend on the thread schedule); a repeated search composes no PP
@@ -678,7 +722,7 @@ TEST(MetricsRequestTest, PpPairCountersAppearOnlyInMetrics) {
   const std::string search =
       R"(,"kind":"search_mappings","workload":)" + std::string(kCoraQuarter) +
       R"(,"out_features":16,"options":{"max_candidates":256,"top_k":2}})";
-  const auto responses = svc.handle_batch(
+  const auto responses = svc.serve_lines(
       {R"({"id":1)" + search, R"({"id":2,"version":2,"kind":"metrics"})",
        R"({"id":3)" + search, R"({"id":4,"version":2,"kind":"metrics"})",
        R"({"id":5,"version":2,"kind":"stats"})"});
@@ -715,7 +759,7 @@ TEST(MetricsRequestTest, ErrorResponsesCountAsErrors) {
 
 TEST(StatsV2Test, EntriesAndEpochAppearOnlyInVersionTwo) {
   MappingService svc;
-  const auto first = svc.handle_batch(
+  const auto first = svc.serve_lines(
       {line_evaluate(1), line_evaluate(2),
        R"({"id":3,"version":2,"kind":"stats"})"});
   const JsonValue v2 = JsonValue::parse(first[2]);
@@ -731,7 +775,7 @@ TEST(StatsV2Test, EntriesAndEpochAppearOnlyInVersionTwo) {
   EXPECT_FALSE(entry.find("signature")->as_string().empty());
 
   // The stats barrier advanced the epoch; a later hit stamps epoch 2.
-  const auto second = svc.handle_batch(
+  const auto second = svc.serve_lines(
       {line_evaluate(4), R"({"id":5,"version":2,"kind":"stats"})"});
   const JsonValue again = JsonValue::parse(second[1]);
   EXPECT_EQ(again.find("epoch")->as_u64(), 2u);

@@ -1,8 +1,9 @@
 // Streaming TCP transport tests: round-trip byte-identity against the
-// stdio batch path for legacy (v1) requests at 1 and 4 scheduler threads,
-// per-connection response ordering, v2 priority requests over the wire,
-// structured shed/error responses, and the stale-socket-file recovery of
-// Listener::unix_socket.
+// stdio transport for legacy (v1) requests at 1 and 4 scheduler threads,
+// per-connection response ordering, a stream that never sheds itself,
+// registry counters that match across transports, v2 priority requests
+// over the wire, structured shed/error responses, and the stale-socket-file
+// recovery of Listener::unix_socket.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -39,17 +40,15 @@ std::string line_evaluate_v2(std::uint64_t id, std::uint64_t priority) {
          kCoraQuarter + R"(,"out_features":16,"pattern":"SP2"})";
 }
 
-/// Streams `lines` over one TCP connection against a fresh service with
-/// `threads` scheduler threads and returns the response lines in arrival
-/// order.
+/// Streams `lines` over one TCP connection against a fresh service and
+/// returns the response lines in arrival order.
 std::vector<std::string> tcp_exchange(const std::vector<std::string>& lines,
-                                      std::size_t threads) {
-  MappingService svc;
+                                      ServeOptions so,
+                                      const ServiceOptions& service = {}) {
+  MappingService svc(service);
   Listener listener = Listener::tcp("127.0.0.1", 0);
   const std::uint16_t port = listener.port();
-  ServeOptions so;
   so.max_connections = 1;
-  so.scheduler_threads = threads;
   std::thread server([&] { serve_on(svc, listener, so); });
   std::vector<std::string> responses;
   {
@@ -69,12 +68,13 @@ TEST(TcpStreamTest, RoundTripIsByteIdenticalToStdioBatch) {
       line_evaluate(1), line_search(2), line_evaluate(3),
       R"({"id":4,"kind":"stats"})", line_evaluate(5)};
   MappingService reference;
-  const std::vector<std::string> expected = reference.handle_batch(lines);
+  const std::vector<std::string> expected = reference.serve_lines(lines);
   // The streaming transport must not change a single byte for legacy
   // requests, whether the scheduler runs serial or concurrent: v1 requests
   // all share band 0 and per-band emission preserves submission order.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::vector<std::string> got = tcp_exchange(lines, threads);
+    const std::vector<std::string> got =
+        tcp_exchange(lines, {.scheduler_threads = threads});
     ASSERT_EQ(got.size(), expected.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(got[i], expected[i]) << "threads=" << threads << " i=" << i;
@@ -88,7 +88,8 @@ TEST(TcpStreamTest, PerConnectionOrderHoldsAcrossThreadCounts) {
     lines.push_back(line_evaluate(id));
   }
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::vector<std::string> got = tcp_exchange(lines, threads);
+    const std::vector<std::string> got =
+        tcp_exchange(lines, {.scheduler_threads = threads});
     ASSERT_EQ(got.size(), lines.size()) << "threads=" << threads;
     for (std::uint64_t id = 1; id <= got.size(); ++id) {
       EXPECT_EQ(JsonValue::parse(got[id - 1]).find("id")->as_u64(), id)
@@ -97,9 +98,62 @@ TEST(TcpStreamTest, PerConnectionOrderHoldsAcrossThreadCounts) {
   }
 }
 
+TEST(TcpStreamTest, StreamDeeperThanTheQueueNeverShedsItself) {
+  // One stream of 32 requests against a 4-deep admission queue: the session
+  // keeps at most 4 of its own requests in flight, so every request is
+  // answered, in order, on stdio and on TCP alike.
+  std::vector<std::string> lines;
+  for (std::uint64_t id = 1; id <= 32; ++id) lines.push_back(line_evaluate(id));
+  const ServeOptions so{.queue_depth = 4, .scheduler_threads = 4};
+  MappingService svc;
+  for (const std::vector<std::string>& got :
+       {svc.serve_lines(lines, so), tcp_exchange(lines, so)}) {
+    ASSERT_EQ(got.size(), lines.size());
+    for (std::uint64_t id = 1; id <= got.size(); ++id) {
+      const JsonValue v = JsonValue::parse(got[id - 1]);
+      EXPECT_EQ(v.find("id")->as_u64(), id);
+      EXPECT_TRUE(v.find("ok")->as_bool()) << got[id - 1];
+    }
+  }
+}
+
+TEST(TcpStreamTest, RegistryCountersMatchAcrossTransports) {
+  // Capacity 1 and two workloads alternating across blank-line barriers:
+  // each segment touches one workload, so hits, misses, evictions and the
+  // epoch are fixed by the stream, whatever the transport or thread count.
+  const auto evaluate = [](std::uint64_t id, const char* workload) {
+    return R"({"id":)" + std::to_string(id) +
+           R"(,"kind":"evaluate","workload":)" + workload +
+           R"(,"out_features":16,"pattern":"SP2"})";
+  };
+  const char* other = R"({"dataset":"Citeseer","scale":0.2})";
+  const std::vector<std::string> lines = {
+      evaluate(1, kCoraQuarter), evaluate(2, kCoraQuarter), "",
+      evaluate(3, other),        evaluate(4, other),        "",
+      evaluate(5, kCoraQuarter), evaluate(6, kCoraQuarter), "",
+      evaluate(7, other),        "",
+      R"({"id":8,"version":2,"kind":"stats"})"};
+  const ServiceOptions capacity_one{.registry_capacity = 1};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    MappingService svc(capacity_one);
+    const ServeOptions so{.scheduler_threads = threads};
+    for (const std::vector<std::string>& got :
+         {svc.serve_lines(lines, so), tcp_exchange(lines, so, capacity_one)}) {
+      ASSERT_EQ(got.size(), 8u) << "threads=" << threads;
+      const JsonValue stats = JsonValue::parse(got.back());
+      const JsonValue* registry = stats.find("registry");
+      EXPECT_EQ(registry->find("hits")->as_u64(), 3u) << "threads=" << threads;
+      EXPECT_EQ(registry->find("misses")->as_u64(), 4u);
+      EXPECT_EQ(registry->find("evictions")->as_u64(), 3u);
+      EXPECT_EQ(stats.find("epoch")->as_u64(), 1u);
+    }
+  }
+}
+
 TEST(TcpStreamTest, VersionTwoPriorityRequestsRoundTrip) {
   const std::vector<std::string> got = tcp_exchange(
-      {line_evaluate_v2(1, 7), line_evaluate_v2(2, 0)}, /*threads=*/2);
+      {line_evaluate_v2(1, 7), line_evaluate_v2(2, 0)},
+      {.scheduler_threads = 2});
   ASSERT_EQ(got.size(), 2u);
   for (const std::string& line : got) {
     const JsonValue v = JsonValue::parse(line);
@@ -116,7 +170,7 @@ TEST(TcpStreamTest, SchedulingFieldsOnV1LineYieldStructuredError) {
                           std::string(kCoraQuarter) +
                           R"(,"out_features":16,"pattern":"SP2"})";
   const std::vector<std::string> got =
-      tcp_exchange({bad, line_evaluate(10)}, /*threads=*/1);
+      tcp_exchange({bad, line_evaluate(10)}, {.scheduler_threads = 1});
   ASSERT_EQ(got.size(), 2u);
   const JsonValue err = JsonValue::parse(got[0]);
   EXPECT_EQ(err.find("id")->as_u64(), 9u);

@@ -21,17 +21,17 @@
 //                  [--compose sequential|pipelined]
 //       Replays one Table V pattern over every model layer and prints the
 //       composed timeline (cross-layer overlap under --compose pipelined).
-//   omega_cli serve [--registry N] [--threads N] [--socket PATH]
+//   omega_cli serve [--registry N] [--threads N] [--socket PATH | --tcp PORT]
 //                  [--max-connections N]
 //       Long-lived mapping service. Default: NDJSON on stdin/stdout — one
-//       JSON request per line, a blank line (or EOF) flushes the batch and
-//       emits responses in request order. --socket serves the same protocol
-//       over a Unix domain socket (one connection = one session).
+//       JSON request per line, each response written as it completes (in
+//       request order within a priority band); a blank line drains the
+//       stream. --socket/--tcp run the same session per connection.
 //   omega_cli batch <file|->  [--registry N] [--threads N]
-//       One-shot: replay a request file through an in-process service.
-//   omega_cli client --socket PATH [file|-]
-//       Send a request file to a running `serve --socket` daemon.
-//   omega_cli metrics --socket PATH
+//       One-shot: `serve` on stdio, reading the request file.
+//   omega_cli client (--socket PATH | --connect HOST:PORT) [file|-]
+//       Send a request file to a running `serve --socket/--tcp` daemon.
+//   omega_cli metrics (--socket PATH | --connect HOST:PORT)
 //       Fetch a v2 metrics snapshot from a running daemon.
 //
 // Observability: run-pipeline / search-pipeline / serve / batch accept
@@ -190,24 +190,27 @@ constexpr CommandHelp kCommands[] = {
      "  --compose sequential|pipelined --pes N --scale X\n"},
     {"serve", "long-lived NDJSON mapping service",
      "usage: omega_cli serve [flags]\n"
-     "  Default: NDJSON on stdin/stdout — one JSON request per line, a\n"
-     "  blank line (or EOF) flushes the batch. --socket/--tcp serve the\n"
-     "  streaming transports instead: concurrent connections, responses\n"
-     "  stream per request in per-connection priority-band order, and a\n"
-     "  bounded priority/deadline scheduler sheds overload as structured\n"
-     "  {\"error\":{\"type\":\"overloaded\"}} responses. See DESIGN.md\n"
+     "  Default: NDJSON on stdin/stdout — one JSON request per line; each\n"
+     "  response is written as it completes, in request order within a\n"
+     "  priority band, and a blank line waits for every earlier response.\n"
+     "  --socket/--tcp run the same streaming session per connection,\n"
+     "  concurrently. A bounded priority/deadline scheduler sheds overload\n"
+     "  across connections as structured\n"
+     "  {\"error\":{\"type\":\"overloaded\"}} responses. Responses are\n"
+     "  written while input is still read, so a client piping requests in\n"
+     "  must read stdout (or the socket) while it writes. See DESIGN.md\n"
      "  \"Serving core\".\n"
      "flags:\n"
      "  --registry N         workload registry capacity\n"
      "  --shards N           registry partitions (consistent-hash router)\n"
-     "  --threads N          stdio batch worker threads (default hardware)\n"
+     "  --threads N          scheduler dispatch threads (default hardware)\n"
      "  --socket PATH        serve a Unix domain socket (streaming)\n"
      "  --tcp PORT           serve TCP on --bind:PORT (streaming; port 0\n"
      "                       picks a free port, printed on stderr)\n"
      "  --bind ADDR          TCP bind address (default 127.0.0.1)\n"
      "  --backlog N          listen() backlog (default 64)\n"
-     "  --queue N            scheduler admission queue depth (default 256)\n"
-     "  --sched-threads N    scheduler dispatch threads (default hardware)\n"
+     "  --queue N            scheduler admission queue depth, also each\n"
+     "                       stream's in-flight window (default 256)\n"
      "  --min-deadline MS    shed requests whose deadline_ms is below MS\n"
      "                       at admission (0 = disabled)\n"
      "  --max-connections N  stop after N connections (0 = forever)\n"
@@ -216,7 +219,11 @@ constexpr CommandHelp kCommands[] = {
      "                       JSON when the service exits\n"},
     {"batch", "replay a request file through an in-process service",
      "usage: omega_cli batch <file|-> [--registry N] [--shards N] "
-     "[--threads N] [--trace PATH]\n"},
+     "[--threads N]\n"
+     "                       [--queue N] [--min-deadline MS] [--trace PATH]\n"
+     "  `serve` on stdio, reading requests from the file ('-' = stdin).\n"
+     "  Responses stream out while the file is read: a client piping\n"
+     "  requests in through '-' must read stdout while it writes.\n"},
     {"client", "send requests to a running serve daemon",
      "usage: omega_cli client (--socket PATH | --connect HOST:PORT) "
      "[file|-]\n"
@@ -1059,7 +1066,7 @@ ServiceCliFlags parse_service_flags(int argc, char** argv, int first,
         throw InvalidArgumentError("--shards must be >= 1");
       }
     } else if (a == "--threads" && server_flags) {
-      f.service.threads = static_cast<std::size_t>(std::stoul(next()));
+      f.serve.scheduler_threads = static_cast<std::size_t>(std::stoul(next()));
     } else if (a == "--trace" && server_flags) {
       f.trace_path = next();
     } else if (a == "--socket") {
@@ -1073,9 +1080,6 @@ ServiceCliFlags parse_service_flags(int argc, char** argv, int first,
       f.serve.backlog = static_cast<int>(std::stoul(next()));
     } else if (a == "--queue" && server_flags) {
       f.serve.queue_depth = static_cast<std::size_t>(std::stoul(next()));
-    } else if (a == "--sched-threads" && server_flags) {
-      f.serve.scheduler_threads =
-          static_cast<std::size_t>(std::stoul(next()));
     } else if (a == "--min-deadline" && server_flags) {
       f.serve.min_feasible_deadline_ms = std::stoull(next());
     } else if (a == "--max-connections" && server_flags) {
@@ -1137,12 +1141,19 @@ std::string read_input_or_stdin(const std::string& input_path) {
   return buf.str();
 }
 
-int cmd_serve(int argc, char** argv) {
+/// `serve`, and `batch <file|->`: the same stdio session reading a file.
+int cmd_serve(int argc, char** argv, bool batch) {
   ServiceCliFlags f = parse_service_flags(argc, argv, 2, /*server_flags=*/true,
                                           /*client_flags=*/false,
-                                          /*with_input=*/false);
+                                          /*with_input=*/batch);
+  if (batch && f.input_path.empty()) {
+    throw InvalidArgumentError("batch needs a request file (or '-')");
+  }
   if (f.tcp && !f.socket_path.empty()) {
     throw InvalidArgumentError("--tcp and --socket are exclusive");
+  }
+  if (batch && (f.tcp || !f.socket_path.empty())) {
+    throw InvalidArgumentError("batch serves stdio; use serve for sockets");
   }
   obs::TraceCollector tc;
   if (!f.trace_path.empty()) f.service.trace = &tc;
@@ -1158,8 +1169,12 @@ int cmd_serve(int argc, char** argv) {
   } else if (!f.socket_path.empty()) {
     std::cerr << "mapping service listening on " << f.socket_path << "\n";
     rc = service::serve_unix_socket(svc, f.socket_path, f.serve);
+  } else if (batch && f.input_path != "-") {
+    std::ifstream in(f.input_path);
+    if (!in) throw InvalidArgumentError("cannot open " + f.input_path);
+    svc.serve(in, std::cout, f.serve);
   } else {
-    svc.serve(std::cin, std::cout);
+    svc.serve(std::cin, std::cout, f.serve);
   }
   if (!f.trace_path.empty()) {
     tc.name_process(0, "omega.service");
@@ -1168,32 +1183,6 @@ int cmd_serve(int argc, char** argv) {
               << " events)\n";
   }
   return rc;
-}
-
-int cmd_batch(int argc, char** argv) {
-  ServiceCliFlags f = parse_service_flags(argc, argv, 2, /*server_flags=*/true,
-                                          /*client_flags=*/false,
-                                          /*with_input=*/true);
-  if (f.input_path.empty()) {
-    throw InvalidArgumentError("batch needs a request file (or '-')");
-  }
-  obs::TraceCollector tc;
-  if (!f.trace_path.empty()) f.service.trace = &tc;
-  service::MappingService svc(f.service);
-  if (f.input_path == "-") {
-    svc.serve(std::cin, std::cout);
-  } else {
-    std::ifstream in(f.input_path);
-    if (!in) throw InvalidArgumentError("cannot open " + f.input_path);
-    svc.serve(in, std::cout);
-  }
-  if (!f.trace_path.empty()) {
-    tc.name_process(0, "omega.service");
-    tc.write_file(f.trace_path);
-    std::cerr << "(trace: " << f.trace_path << ", " << tc.size()
-              << " events)\n";
-  }
-  return 0;
 }
 
 int cmd_metrics(int argc, char** argv) {
@@ -1304,8 +1293,8 @@ int main(int argc, char** argv) {
     if (cmd == "search-pipeline") return cmd_search_pipeline(argc, argv);
     if (cmd == "search-model") return cmd_search_model(argc, argv);
     if (cmd == "run-model") return cmd_run_model(argc, argv);
-    if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "batch") return cmd_batch(argc, argv);
+    if (cmd == "serve") return cmd_serve(argc, argv, /*batch=*/false);
+    if (cmd == "batch") return cmd_serve(argc, argv, /*batch=*/true);
     if (cmd == "client") return cmd_client(argc, argv);
     if (cmd == "metrics") return cmd_metrics(argc, argv);
     // A kCommands entry without a dispatch line above is a programming
