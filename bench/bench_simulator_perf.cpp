@@ -39,8 +39,9 @@
 // (default BENCH_model_dse.json), --model-only / --model-skip.
 //
 // --pipeline-dse runs the N-phase search sweep (run_pipeline_dse_sweep): an
-// EDP search over a 3-phase GAT-style chain, gating prune-parity (pruned
-// best == unpruned best) and scalar/batched path parity, writing
+// EDP search over a 3-phase GAT-style chain and a spgemm-first chain,
+// gating prune-parity (pruned best == unpruned best) and scalar/batched
+// path parity on both, writing
 // BENCH_pipeline_dse.json. Knobs: OMEGA_PDSE_SCALE_PCT, OMEGA_PDSE_CANDIDATES,
 // OMEGA_PDSE_JSON.
 #include <benchmark/benchmark.h>
@@ -861,9 +862,10 @@ int run_pipeline_study() {
 /// search must return the same best candidate (key, cycles, energy, score)
 /// as the unpruned one — the lossless-pruning contract of
 /// dse/pipeline_search.hpp — and the scalar and batched evaluation paths
-/// must produce bit-identical ranked + Pareto sets. Throughput of the two
-/// paths and the pruning win are reported and written to
-/// BENCH_pipeline_dse.json. Knobs: OMEGA_PDSE_SCALE_PCT (Cora scale in
+/// must produce bit-identical ranked + Pareto sets. Both checks run again
+/// on a chain that leads with the sparse-weight phase (spgemm -> spmm ->
+/// gemm). Throughput of the two paths and the pruning win on the GAT chain
+/// are reported and written to BENCH_pipeline_dse.json. Knobs: OMEGA_PDSE_SCALE_PCT (Cora scale in
 /// percent, default 25), OMEGA_PDSE_CANDIDATES (cap, default 512),
 /// OMEGA_PDSE_JSON (output path).
 int run_pipeline_dse_sweep() {
@@ -939,11 +941,36 @@ int run_pipeline_dse_sweep() {
 
   // Prune parity: the lossless-bound contract — same best, fewer
   // evaluations.
-  const RankedPipelineCandidate& ub = batched.best();
+  const auto same_best = [](const PipelineSearchResult& unpruned,
+                            const PipelineSearchResult& p) {
+    const RankedPipelineCandidate& u = unpruned.best();
+    const RankedPipelineCandidate& b = p.best();
+    return u.key == b.key && u.cycles == b.cycles &&
+           u.on_chip_pj == b.on_chip_pj && u.score == b.score;
+  };
   const RankedPipelineCandidate& pb = pruned.best();
-  const bool prune_parity = ub.key == pb.key && ub.cycles == pb.cycles &&
-                            ub.on_chip_pj == pb.on_chip_pj &&
-                            ub.score == pb.score;
+  const bool prune_parity = same_best(batched, pruned);
+
+  // The same two checks on a chain that leads with its sparse-weight phase,
+  // whose PP and SP-Generic first boundaries stage the transposed chunk
+  // grid (the GAT chain's sparse-weight phase is last and produces none).
+  PipelineChainSpec spgemm_first;
+  spgemm_first.phases = {{.name = "xform",
+                          .engine = PhaseEngine::kSparseSparse,
+                          .out_features = 8,
+                          .weight_density = 0.5},
+                         {.name = "agg", .engine = PhaseEngine::kSparseDense},
+                         {.name = "cmb",
+                          .engine = PhaseEngine::kDenseDense,
+                          .out_features = 16}};
+  const PipelineSearchResult sf_batched =
+      search_pipeline_mappings(omega, w, spgemm_first, base, &context);
+  const bool sf_path_parity = same_sets(
+      sf_batched,
+      search_pipeline_mappings(omega, w, spgemm_first, scalar_opt, &context));
+  const bool sf_prune_parity = same_best(
+      sf_batched,
+      search_pipeline_mappings(omega, w, spgemm_first, pruned_opt, &context));
 
   const auto rate = [](const PipelineSearchResult& r, double s) {
     return s > 0.0
@@ -966,7 +993,14 @@ int run_pipeline_dse_sweep() {
             << " cycles)\n"
             << "eval core: " << with_commas(batched.eval.term_requests)
             << " term requests (" << with_commas(batched.eval.term_builds)
-            << " built)\n";
+            << " built)\n"
+            << "chain: " << spgemm_first.to_string() << " ("
+            << sf_batched.evaluated << " evaluated)\n"
+            << "path parity:  "
+            << (sf_path_parity ? "bit-identical" : "MISMATCH")
+            << " across scalar/batched\n"
+            << "prune parity: "
+            << (sf_prune_parity ? "same best" : "MISMATCH") << "\n";
 
   std::ofstream json(json_path);
   if (json) {
@@ -1003,11 +1037,19 @@ int run_pipeline_dse_sweep() {
     jw.member("term_requests", batched.eval.term_requests);
     jw.member("term_builds", batched.eval.term_builds);
     jw.end_object();
+    jw.key("spgemm_first").begin_object();
+    jw.member("chain", spgemm_first.to_string());
+    jw.member("evaluated", static_cast<std::uint64_t>(sf_batched.evaluated));
+    jw.member("path_parity", sf_path_parity ? "bit-identical" : "mismatch");
+    jw.member("prune_parity", sf_prune_parity ? "same best" : "mismatch");
+    jw.end_object();
     jw.end_object();
     json << jw.str() << "\n";
     std::cout << "(json: " << json_path << ")\n";
   }
-  return path_parity && prune_parity ? 0 : 1;
+  return path_parity && prune_parity && sf_path_parity && sf_prune_parity
+             ? 0
+             : 1;
 }
 
 }  // namespace

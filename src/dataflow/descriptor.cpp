@@ -175,31 +175,6 @@ std::size_t DataflowDescriptor::t_col_max() const {
   return std::max(cmb.tiles.g, agg.tiles.f);
 }
 
-std::size_t DataflowDescriptor::pipeline_elements(std::size_t rows,
-                                                  std::size_t cols) const {
-  const std::size_t tr = std::min(t_row_max(), rows);
-  const std::size_t tc = std::min(t_col_max(), cols);
-  switch (granularity()) {
-    case Granularity::kElement: return tr * tc;
-    case Granularity::kRow: return tr * cols;
-    case Granularity::kColumn: return rows * tc;
-    case Granularity::kNone: return 0;
-  }
-  return 0;
-}
-
-std::size_t DataflowDescriptor::intermediate_buffer_elements(
-    std::size_t rows, std::size_t cols) const {
-  switch (inter) {
-    case InterPhase::kSequential: return rows * cols;
-    case InterPhase::kSPGeneric: return pipeline_elements(rows, cols);
-    case InterPhase::kSPOptimized: return 0;
-    case InterPhase::kParallelPipeline:
-      return 2 * pipeline_elements(rows, cols);
-  }
-  return 0;
-}
-
 std::string DataflowDescriptor::to_string() const {
   std::ostringstream os;
   os << omega::to_string(inter) << "_" << omega::to_string(phase_order) << "("

@@ -92,17 +92,6 @@ struct DataflowDescriptor {
   /// Granularity implied by the loop orders (kNone for Seq / SP-Optimized).
   [[nodiscard]] Granularity granularity() const;
 
-  /// Number of intermediate elements pipelined per step (Pel, Table III),
-  /// given the extents of the intermediate matrix. `rows`/`cols` are the
-  /// intermediate dims: V x F for AC, V x G for CA.
-  [[nodiscard]] std::size_t pipeline_elements(std::size_t rows,
-                                              std::size_t cols) const;
-
-  /// Intermediate buffering requirement in elements (Table III):
-  /// Seq: rows*cols, SP-Generic: Pel, SP-Optimized: 0, PP: 2*Pel.
-  [[nodiscard]] std::size_t intermediate_buffer_elements(
-      std::size_t rows, std::size_t cols) const;
-
   /// Max tile size across phases for the intermediate row dimension
   /// (T_Vmax in the paper; for CA the consumer side indexes rows by N).
   [[nodiscard]] std::size_t t_row_max() const;

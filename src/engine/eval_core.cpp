@@ -1,11 +1,7 @@
 #include "engine/eval_core.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 
-#include "dataflow/descriptor.hpp"
 #include "omega/pipeline.hpp"
 #include "util/error.hpp"
 #include "util/saturate.hpp"
@@ -13,17 +9,6 @@
 namespace omega {
 
 namespace {
-
-bool chunked_inter(InterPhase ip) {
-  return ip == InterPhase::kSPGeneric || ip == InterPhase::kParallelPipeline;
-}
-
-// The first phase's share of the PP pair at boundary `bi`: the ratio of
-// the pair's PE fractions, or an even split when the binding gives none.
-double first_share(const PipelineBindingView& b, std::size_t bi) {
-  if (b.pe_fractions.size() != b.phases.size()) return 0.5;
-  return b.pe_fractions[bi] / (b.pe_fractions[bi] + b.pe_fractions[bi + 1]);
-}
 
 std::uint64_t pack_order(const LoopOrder& order) {
   return static_cast<std::uint64_t>(order.at(0)) << 8 |
@@ -255,6 +240,7 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
         plan->hw_ = hw;
         plan->em_ = em;
         plan->v_ = workload.num_vertices();
+        plan->chain_ = chain;
         plan->chain_ok_ =
             !chain.chain_error().has_value() && plan->v_ >= 1 && f >= 1;
         if (plan->chain_ok_) {
@@ -268,7 +254,6 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
           for (std::size_t i = 0; i < n; ++i) {
             const PhaseChainSpec& p = chain.phases[i];
             PhaseStatic& ps = plan->statics_[i];
-            ps.engine = p.engine;
             ps.in_w = width;
             ps.out_w = p.engine == PhaseEngine::kSparseDense ? width
                                                              : p.out_features;
@@ -285,295 +270,53 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
       });
 }
 
-bool PipelineEvalPlan::precheck(const PipelineBindingView& b) const {
-  if (!chain_ok_) return false;
-  const std::size_t n = statics_.size();
-  if (b.phases.size() != n || b.boundaries.size() + 1 != n) return false;
-  if (!b.pe_fractions.empty() && b.pe_fractions.size() != n) return false;
-  for (const double frac : b.pe_fractions) {
-    if (!std::isfinite(frac) || frac <= 0.0) return false;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const IntraPhaseDataflow& df = b.phases[i];
-    const PhaseStatic& ps = statics_[i];
-    if (df.phase != taxonomy_phase(ps.engine)) return false;
-    try {
-      df.validate();
-    } catch (const Error&) {
-      return false;
-    }
-    if (ps.engine == PhaseEngine::kSparseSparse &&
-        df.order.depth_of(Dim::kG) > df.order.depth_of(Dim::kF)) {
-      return false;
-    }
-    // Substrate capability (Table II NoC/PE support column).
-    const Dim contraction =
-        ps.engine == PhaseEngine::kSparseDense ? Dim::kN : Dim::kF;
-    const bool spatial = df.tiles.get(contraction) > 1;
-    if (spatial && !hw_.supports_spatial_reduction) return false;
-    if (!spatial && !hw_.supports_temporal_reduction) return false;
-  }
-  for (std::size_t bi = 0; bi + 1 < n; ++bi) {
-    const InterPhase ip = b.boundaries[bi];
-    switch (ip) {
-      case InterPhase::kSequential:
-        break;
-      case InterPhase::kSPOptimized:
-        if (!sp_optimized_pair_ok(statics_[bi].engine, b.phases[bi],
-                                  statics_[bi + 1].engine, b.phases[bi + 1])) {
-          return false;
-        }
-        break;
-      case InterPhase::kSPGeneric:
-      case InterPhase::kParallelPipeline: {
-        const PipelineAnalysis a = analyze_handoff(
-            phase_producer_role(statics_[bi].engine, b.phases[bi].order),
-            phase_consumer_role(statics_[bi + 1].engine,
-                                b.phases[bi + 1].order));
-        if (!a.feasible) return false;
-        break;
-      }
-    }
-    if (chunked_inter(ip) &&
-        statics_[bi + 1].engine == PhaseEngine::kSparseSparse) {
-      return false;
-    }
-    if (bi > 0 && chunked_inter(b.boundaries[bi - 1]) && chunked_inter(ip)) {
-      return false;
-    }
-    if (ip == InterPhase::kParallelPipeline) {
-      if (hw_.num_pes < 2) return false;
-      const double share = first_share(b, bi);
-      if (!(share > 0.0 && share < 1.0)) return false;
-    }
-  }
-  return true;
-}
-
 EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& b,
                                        PipelineDeltaState& state) const {
-  if (!precheck(b)) return {};
   const std::size_t n = statics_.size();
-  if (state.slots.size() != n) state.slots.assign(n, TermStore::Slot{});
-  std::size_t partition_bytes = 0;
-
-  // Per-boundary plan (Table III generalized), mirroring run_pipeline_impl
-  // for every field a term or the composition reads; each boundary is
-  // derived once and handed to both adjacent phases. Only a PP boundary
-  // gets a chunk grid: the composition reads no other timeline, and the
-  // engines' cycles and traffic do not depend on the grid, so an SP-Generic
-  // phase resolves to its grid-free term (see the header).
-  struct BoundaryPlan {
-    InterPhase inter = InterPhase::kSequential;
-    ChunkSpec grid;  // PP only: the grid both phases of the pair stage
-    std::size_t partition_bytes = 0;  // PP only: the ping-pong partition
-    bool spilled = false;
-  };
-  const auto plan_boundary = [&](std::size_t bi) {
-    BoundaryPlan bp;
-    bp.inter = b.boundaries[bi];
-    const std::size_t rows = v_;
-    const std::size_t cols = statics_[bi].out_w;
-    if (bp.inter == InterPhase::kParallelPipeline) {
-      bp.grid = ChunkSpec::whole(rows, cols);
-      const HandoffRole prod_role =
-          phase_producer_role(statics_[bi].engine, b.phases[bi].order);
-      const HandoffRole cons_role = phase_consumer_role(
-          statics_[bi + 1].engine, b.phases[bi + 1].order);
-      const PipelineAnalysis a = analyze_handoff(prod_role, cons_role);
-      bp.grid.major = a.major;
-      const std::size_t t_row =
-          std::min(std::max(b.phases[bi].tiles.get(prod_role.row),
-                            b.phases[bi + 1].tiles.get(cons_role.row)),
-                   rows);
-      const std::size_t t_col =
-          std::min(std::max(b.phases[bi].tiles.get(prod_role.col),
-                            b.phases[bi + 1].tiles.get(cons_role.col)),
-                   cols);
-      std::size_t pel = 0;
-      switch (a.granularity) {
-        case Granularity::kElement:
-          bp.grid.row_block = t_row;
-          bp.grid.col_block = t_col;
-          pel = t_row * t_col;
-          break;
-        case Granularity::kRow:
-          bp.grid.row_block = t_row;
-          pel = t_row * cols;
-          break;
-        case Granularity::kColumn:
-          bp.grid.col_block = t_col;
-          pel = rows * t_col;
-          break;
-        case Granularity::kNone:
-          break;
-      }
-      bp.partition_bytes = 2 * pel * hw_.element_bytes;
-    }
-    const std::uint64_t int_bytes =
-        sat_mul_u64(sat_mul_u64(rows, cols), hw_.element_bytes);
-    bp.spilled =
-        bp.inter == InterPhase::kSequential && int_bytes > hw_.gb_bytes;
-    return bp;
-  };
-
-  BoundaryPlan up;
-  bool has_up = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    BoundaryPlan down;
-    const bool has_down = i + 1 < n;
-    if (has_down) {
-      down = plan_boundary(i);
-      partition_bytes = std::max(partition_bytes, down.partition_bytes);
-    }
-
-    // PE / bandwidth allocation: the phase's PP pair or the whole array.
-    // Validation caps every phase at one chunked boundary, so PP pairs
-    // never overlap and at most one side is PP.
-    std::size_t pes = hw_.num_pes;
-    std::size_t bwd = hw_.distribution_bandwidth;
-    std::size_t bwr = hw_.reduction_bandwidth;
-    const bool pp_second = has_up && up.inter == InterPhase::kParallelPipeline;
-    const bool pp_first =
-        has_down && down.inter == InterPhase::kParallelPipeline;
-    if (pp_first || pp_second) {
-      const std::size_t bi = pp_first ? i : i - 1;
-      const std::size_t first = std::clamp<std::size_t>(
-          static_cast<std::size_t>(std::llround(
-              static_cast<double>(hw_.num_pes) * first_share(b, bi))),
-          1, hw_.num_pes - 1);
-      pes = pp_first ? first : hw_.num_pes - first;
-      bwd = scaled_bandwidth(hw_.distribution_bandwidth, pes, hw_.num_pes);
-      bwr = scaled_bandwidth(hw_.reduction_bandwidth, pes, hw_.num_pes);
-    }
-
-    const bool in_from_rf = has_up && up.inter == InterPhase::kSPOptimized;
-    const bool in_dram = has_up && up.spilled;
-    const bool in_via_partition = pp_second;
-    const bool out_to_rf = has_down && down.inter == InterPhase::kSPOptimized;
-    const bool out_in_dram = has_down && down.spilled;
-    const bool out_via_partition = pp_first;
-    const TrafficCategory in_cat =
-        has_up ? TrafficCategory::kIntermediate : TrafficCategory::kInput;
-    const TrafficCategory out_cat =
-        has_down ? TrafficCategory::kIntermediate : TrafficCategory::kOutput;
-
-    // The phase's engine config, resolved at once: phases resolve in
-    // execution order, so an infeasible phase skips the later builds.
-    const PhaseStatic& ps = statics_[i];
-    bool resolved = false;
-    switch (ps.engine) {
-      case PhaseEngine::kSparseDense: {
-        SpmmPhaseConfig cfg;
-        cfg.graph = graph_;
-        cfg.context = context_;
-        cfg.order = b.phases[i].order;
-        cfg.tiles = b.phases[i].tiles;
-        cfg.feat = ps.in_w;
-        cfg.pes = pes;
-        cfg.bw_dist = bwd;
-        cfg.bw_red = bwr;
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.b_category = in_cat;
-        cfg.b_from_rf = in_from_rf;
-        cfg.b_in_dram = in_dram;
-        cfg.b_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.b_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (pp_second) {
-          cfg.chunks = up.grid;
-          cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (pp_first) {
-          cfg.chunks = down.grid;
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        resolved = resolve(cfg, ps, i, state);
-        break;
-      }
-      case PhaseEngine::kDenseDense: {
-        GemmPhaseConfig cfg;
-        cfg.rows = v_;
-        cfg.inner = ps.in_w;
-        cfg.cols = ps.out_w;
-        cfg.order = b.phases[i].order;
-        cfg.tiles = b.phases[i].tiles;
-        cfg.pes = pes;
-        cfg.bw_dist = bwd;
-        cfg.bw_red = bwr;
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.a_category = in_cat;
-        cfg.a_from_rf = in_from_rf;
-        cfg.a_in_dram = in_dram;
-        cfg.a_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.a_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (pp_second) {
-          cfg.chunks = up.grid;
-          cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (pp_first) {
-          cfg.chunks = down.grid;
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        resolved = resolve(cfg, i, state);
-        break;
-      }
-      case PhaseEngine::kSparseSparse: {
-        // Transposed problem Out^T[G,V] = W^T[G,F] x X^T[F,V] on the
-        // plan-owned W^T pattern; loop dims translate G->V, F->N, V->Feat
-        // (the vocabulary check above rules out kN).
-        SpmmPhaseConfig cfg;
-        cfg.graph = ps.wcsr.get();
-        cfg.context = nullptr;  // the workload context is bound to the graph
-        const auto translate = [](Dim d) {
-          if (d == Dim::kG) return Dim::kV;
-          if (d == Dim::kF) return Dim::kN;
-          return Dim::kF;
-        };
-        cfg.order = LoopOrder(translate(b.phases[i].order.at(0)),
-                              translate(b.phases[i].order.at(1)),
-                              translate(b.phases[i].order.at(2)));
-        cfg.tiles.v = b.phases[i].tiles.g;
-        cfg.tiles.n = b.phases[i].tiles.f;
-        cfg.tiles.f = b.phases[i].tiles.v;
-        cfg.feat = v_;
-        cfg.pes = pes;
-        cfg.bw_dist = bwd;
-        cfg.bw_red = bwr;
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.b_category = in_cat;
-        cfg.b_from_rf = in_from_rf;
-        cfg.b_in_dram = in_dram;
-        cfg.b_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.b_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        // A chunked upstream boundary is rejected above (sparse-weight
-        // phases cannot consume chunked intermediates), so only the
-        // producer side can stage chunks — through the transposed grid.
-        if (pp_first) {
-          cfg.chunks = transpose_chunks(down.grid);
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        resolved = resolve(cfg, ps, i, state);
-        break;
-      }
-    }
-    if (!resolved) return {};
-    up = down;
-    has_up = has_down;
+  if (!chain_ok_ || b.phases.size() != n ||
+      pipeline_violation(chain_, b, &hw_).rule != PipelineRule::kNone) {
+    return {};
   }
-  return compose(b, state, partition_bytes);
+  if (state.slots.size() != n) state.slots.assign(n, TermStore::Slot{});
+  state.boundaries.resize(n - 1);
+  const PipelineLowering lower{hw_, em_, graph_, context_, v_,
+                               /*stage_sp_generic=*/false};
+  // Per phase in execution order: the boundary below it, its engine config
+  // and its term, resolved at once, so an infeasible phase skips the later
+  // builds.
+  for (std::size_t i = 0; i < n; ++i) {
+    const PhaseEngine engine = chain_.phases[i].engine;
+    const PhaseStatic& ps = statics_[i];
+    if (i + 1 < n) {
+      state.boundaries[i] = lower.boundary(
+          b.boundaries[i], engine, b.phases[i], chain_.phases[i + 1].engine,
+          b.phases[i + 1], ps.out_w);
+    }
+    const BoundaryOutcome* up = i > 0 ? &state.boundaries[i - 1] : nullptr;
+    const BoundaryOutcome* down = i + 1 < n ? &state.boundaries[i] : nullptr;
+    const PhaseSplit share = lower.split(b.boundaries, b.pe_fractions, i);
+    if (engine == PhaseEngine::kDenseDense) {
+      if (!resolve(lower.phase<GemmPhaseConfig>(engine, b.phases[i], ps.in_w,
+                                                ps.out_w, up, down, share),
+                   i, state)) {
+        return {};
+      }
+      continue;
+    }
+    SpmmPhaseConfig cfg = lower.phase<SpmmPhaseConfig>(
+        engine, b.phases[i], ps.in_w, ps.out_w, up, down, share);
+    if (ps.wcsr != nullptr) cfg.graph = ps.wcsr.get();  // the plan's W^T
+    if (!resolve(cfg, ps, i, state)) return {};
+  }
+  const std::vector<TermStore::Slot>& slots = state.slots;
+  const PipelineCost cost = lower.compose(
+      state.boundaries,
+      [&](std::size_t i) -> const PhaseResult& { return *slots[i].term; },
+      [&](std::size_t bi) {
+        return context_->terms().compose_pp(slots[bi], slots[bi + 1],
+                                            state.tally);
+      });
+  return {cost.cycles, cost.energy.on_chip_pj(), true};
 }
 
 bool PipelineEvalPlan::resolve(const SpmmPhaseConfig& cfg,
@@ -602,38 +345,6 @@ bool PipelineEvalPlan::resolve(const GemmPhaseConfig& cfg,
              },
              term_timeline_footprint(cfg.chunk_target, cfg.chunks),
              state.tally) != nullptr;
-}
-
-EvalOutcome PipelineEvalPlan::compose(const PipelineBindingView& binding,
-                                      PipelineDeltaState& state,
-                                      std::size_t partition_bytes) const {
-  const std::size_t n = statics_.size();
-  const std::vector<TermStore::Slot>& slots = state.slots;
-  const auto result = [&](std::size_t i) -> const PhaseResult& {
-    return *slots[i].term;
-  };
-  EvalOutcome out;
-  // PP pairs overlap chunk-by-chunk (the consumer starts chunk i once the
-  // producer completed it), through the store's pair memo; everything else
-  // serializes.
-  out.cycles = 0;
-  for (std::size_t i = 0; i < n;) {
-    if (i + 1 < n && binding.boundaries[i] == InterPhase::kParallelPipeline) {
-      out.cycles = sat_add_u64(
-          out.cycles,
-          context_->terms().compose_pp(slots[i], slots[i + 1], state.tally));
-      i += 2;
-    } else {
-      out.cycles = sat_add_u64(out.cycles, result(i).cycles);
-      i += 1;
-    }
-  }
-  TrafficCounters traffic = result(0).traffic;
-  for (std::size_t i = 1; i < n; ++i) traffic += result(i).traffic;
-  const EnergyBreakdown e = compute_energy(traffic, em_, partition_bytes);
-  out.on_chip_pj = e.on_chip_pj();
-  out.ok = true;
-  return out;
 }
 
 PhaseResult resolve_phase(const GemmPhaseConfig& cfg,

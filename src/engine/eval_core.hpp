@@ -3,13 +3,15 @@
 // Every search (search_mappings lowers its two-phase descriptors onto the
 // AC/CA chains, search_pipeline_mappings and search_model_mappings run
 // chains directly) evaluates candidates through one PipelineEvalPlan per
-// chain. A sweep's candidates differ from their neighbors in one or two
-// binding fields, and the full Omega::run_pipeline path re-derives
-// everything per candidate: the PE/bandwidth split, feature widths, the
-// boundary plans, N engine configs, N phase lookups, the PP compositions,
-// the traffic sum and the energy model. A plan factors one candidate
-// evaluation into N *phase terms* — one per chain position, the memoizable
-// units — plus (N-1) boundary compositions:
+// chain. A plan and Omega::run_pipeline turn a binding into engine configs
+// and a cost through one lowering (PipelineLowering and pipeline_violation
+// in omega/pipeline.hpp): the rule set, the boundary plans, the PE split,
+// the phase configs and the composition. What the plan adds is reuse. A
+// sweep's candidates differ from their neighbors in one or two binding
+// fields, so the plan fixes the feature widths and the sparse-weight W^T
+// patterns once per chain, never materializes a spec or a result, and
+// factors one candidate evaluation into N *phase terms* — one per chain
+// position, the memoizable units — plus (N-1) boundary compositions:
 //
 //   cycles  = sum over segments (PP pairs overlap chunk-by-chunk, the rest
 //             sat-add)
@@ -29,13 +31,14 @@
 // energy model + chain), so repeated searches over one workload reuse all
 // terms across calls.
 //
-// Only PP boundaries get a chunk grid. The composition reads chunk
-// timelines at a PP boundary alone, and the engines' cycles and traffic do
-// not depend on the grid (only chunk_cycles/chunk_completion do), so an
-// SP-Generic phase is resolved grid-free: it shares its key and its one
-// build with its grid-free twin (an unspilled Sequential boundary's term),
-// walks no chunks and holds no timeline. Omega::run_pipeline keeps the
-// SP-Generic grid, because schedule traces render its chunk slices.
+// Only PP boundaries stage a chunk grid here: the plan lowers with
+// PipelineLowering::stage_sp_generic off, the one difference from
+// Omega::run_pipeline (whose schedule traces render SP-Generic chunk
+// slices). The composition reads chunk timelines at a PP boundary alone,
+// and the engines' cycles and traffic do not depend on the grid (only
+// chunk_cycles/chunk_completion do), so an SP-Generic phase shares its key
+// and its one build with its grid-free twin (an unspilled Sequential
+// boundary's term), walks no chunks and holds no timeline.
 //
 // A PP segment's composed cycles depend only on its two terms, so the
 // store also memoizes compose_parallel_pipeline per (producer key,
@@ -49,12 +52,13 @@
 //    mutates one side at a time) hit the slot without touching the map or
 //    hashing the key.
 //  * evaluate — one candidate against the plan with O(phases) state: the
-//    precheck, then per phase its engine config (boundary plans and PE
-//    split derived on the way) resolved at once (L1 slot -> shared map ->
-//    simulate), stopping at the first infeasible phase, then the
-//    composition read straight from the slots the resolves filled. A
-//    search streams each parallel block through it candidate by candidate,
-//    so nothing per block is allocated or zero-filled.
+//    rule set, then per phase its boundary plan, PE split and engine config
+//    resolved at once (L1 slot -> shared map -> simulate), stopping at the
+//    first infeasible phase, then the lowering's composition read straight
+//    from the slots the resolves filled, with the store's pair memo as its
+//    PP cycles. Configs live on the stack and the boundary plans in the
+//    state, so a search streaming each parallel block through it candidate
+//    by candidate allocates nothing per candidate.
 //
 // Parity contract: for every binding, evaluate returns bit-identical
 // (cycles, on_chip_pj) to Omega::run_pipeline on the bound spec with the
@@ -333,15 +337,16 @@ class TermStore {
 /// threads.
 struct PipelineDeltaState {
   std::vector<TermStore::Slot> slots;  // sized to the plan's phase count
-  TermStore::Tally tally;              // this state's term lookups
+  std::vector<BoundaryOutcome> boundaries;  // the candidate's boundary plans
+  TermStore::Tally tally;                   // this state's term lookups
 };
 
 /// A per-(workload, substrate, chain) evaluation plan. The plan is keyed by
 /// the *chain* (engines, widths, densities — everything a sweep holds
-/// fixed) so per-candidate work reduces to deriving engine configs from the
-/// binding (dataflows, boundaries, PE fractions) and resolving terms in
-/// the context's store; sparse-weight W^T CSRs are built once per chain
-/// phase here, where run_pipeline builds one per simulated term. All
+/// fixed) so per-candidate work reduces to lowering the binding
+/// (dataflows, boundaries, PE fractions) to engine configs and resolving
+/// terms in the context's store; sparse-weight W^T CSRs are built once per
+/// chain phase here, where run_pipeline builds one per simulated term. All
 /// methods are const and thread-safe. The plan keeps no counters: the
 /// store's (WorkloadContext::eval_stats) count every plan and run path of
 /// the context, and each evaluation counts its own share on its state.
@@ -361,14 +366,11 @@ class PipelineEvalPlan {
   [[nodiscard]] EvalOutcome evaluate(const PipelineBindingView& binding,
                                      PipelineDeltaState& state) const;
 
-  [[nodiscard]] std::size_t phase_count() const { return statics_.size(); }
-
  private:
   PipelineEvalPlan() = default;
 
   /// Chain-invariant per-phase facts, resolved once at obtain time.
   struct PhaseStatic {
-    PhaseEngine engine = PhaseEngine::kDenseDense;
     std::size_t in_w = 0;
     std::size_t out_w = 0;
     /// Sparse-weight phases only: W^T's nonzeros per row (with in_w and
@@ -377,10 +379,6 @@ class PipelineEvalPlan {
     std::shared_ptr<const CSRGraph> wcsr;
   };
 
-  /// The throws Omega::run_pipeline performs before the engines run (spec
-  /// validation, substrate capability, PP sanity): false means the oracle
-  /// throws on the bound spec.
-  [[nodiscard]] bool precheck(const PipelineBindingView& binding) const;
   /// Resolves one phase term into state.slots[phase_idx]; false when the
   /// engines reject the config (infeasible).
   [[nodiscard]] bool resolve(const SpmmPhaseConfig& cfg, const PhaseStatic& ps,
@@ -388,9 +386,6 @@ class PipelineEvalPlan {
                              PipelineDeltaState& state) const;
   [[nodiscard]] bool resolve(const GemmPhaseConfig& cfg, std::size_t phase_idx,
                              PipelineDeltaState& state) const;
-  [[nodiscard]] EvalOutcome compose(const PipelineBindingView& binding,
-                                    PipelineDeltaState& state,
-                                    std::size_t partition_bytes) const;
 
   // Workload / substrate / chain bindings (all binding-invariant).
   const CSRGraph* graph_ = nullptr;
@@ -398,7 +393,8 @@ class PipelineEvalPlan {
   AcceleratorConfig hw_;
   EnergyModel em_;
   std::size_t v_ = 0;
-  std::vector<PhaseStatic> statics_;
+  PipelineChainSpec chain_;
+  std::vector<PhaseStatic> statics_;  // one per chain phase when chain_ok_
   bool chain_ok_ = false;
 };
 

@@ -124,8 +124,9 @@ class Omega {
                                    const WorkloadContext* context) const;
 
   /// Shared core behind run_pipeline and the two-phase adapter;
-  /// `validated` skips PipelineSpec::validate for specs lowered from an
-  /// already-validated DataflowDescriptor (the sweep hot path).
+  /// `validated` skips the rule set (pipeline_violation) for specs lowered
+  /// from a DataflowDescriptor that Omega::run already validated against
+  /// the substrate.
   [[nodiscard]] PipelineResult run_pipeline_impl(
       const GnnWorkload& workload, const PipelineSpec& spec,
       const WorkloadContext* context, bool validated) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "engine/eval_core.hpp"  // resolve_phase
@@ -84,13 +85,6 @@ std::string PhaseSpec::to_string() const {
   return s;
 }
 
-double PipelineSpec::pp_first_share(std::size_t b) const {
-  if (pe_fractions.size() != phases.size()) return 0.5;
-  const double first = pe_fractions[b];
-  const double second = pe_fractions[b + 1];
-  return first / (first + second);
-}
-
 std::string PipelineSpec::to_string() const {
   std::string s;
   for (std::size_t i = 0; i < phases.size(); ++i) {
@@ -107,8 +101,8 @@ std::string PipelineSpec::to_string() const {
 namespace {
 
 /// Which generalized SP-Optimized constraint (Table II row 2) a pair
-/// violates. The single rule set behind both the boolean hot-path check and
-/// the message-building validation path, so the two cannot drift.
+/// violates: the kSpOptimized rule of pipeline_violation, spelled out by
+/// sp_optimized_pair_error, and sp_optimized_pair_ok.
 enum class SpoViolation : std::uint8_t {
   kNone = 0,
   kProducerContractionNotInnermost,
@@ -151,8 +145,7 @@ SpoViolation spo_pair_violation(PhaseEngine prod_engine,
 /// traverse the shared tile in the same major with the third dim innermost,
 /// and the row/col tiles must match across the pair. Reduces exactly to the
 /// classic sp_optimized_error pairs for the two-phase descriptor. `b` is
-/// the boundary index, named in the message; the prefix is built only on
-/// failure (this runs per candidate in validation-heavy callers).
+/// the boundary index, named in the message.
 std::optional<std::string> sp_optimized_pair_error(const PhaseSpec& prod,
                                                    const PhaseSpec& cons,
                                                    std::size_t b) {
@@ -196,24 +189,249 @@ bool is_chunked(InterPhase ip) {
   return ip == InterPhase::kSPGeneric || ip == InterPhase::kParallelPipeline;
 }
 
-/// Max tile across the pair for the intermediate's row / column dimension —
-/// the N-phase generalization of DataflowDescriptor::t_row_max/t_col_max.
-std::size_t pair_t_row(const PhaseSpec& prod, const PhaseSpec& cons) {
-  return std::max(prod.dataflow.tiles.get(prod.producer_role().row),
-                  cons.dataflow.tiles.get(cons.consumer_role().row));
-}
-std::size_t pair_t_col(const PhaseSpec& prod, const PhaseSpec& cons) {
-  return std::max(prod.dataflow.tiles.get(prod.producer_role().col),
-                  cons.dataflow.tiles.get(cons.consumer_role().col));
+/// The first phase's share of the PP pair at boundary `b`: the ratio of the
+/// pair's PE fractions, or an even split when the spec gives none.
+double pp_first_share(std::span<const double> fractions, std::size_t b) {
+  if (fractions.empty()) return 0.5;
+  return fractions[b] / (fractions[b] + fractions[b + 1]);
 }
 
-}  // namespace
+/// The per-phase rules that need no dataflow: all chain_error checks per
+/// phase.
+PipelineRule chain_rule(PhaseEngine engine, std::size_t out_features,
+                        double weight_density) {
+  if (engine == PhaseEngine::kSparseDense) {
+    if (out_features != 0) return PipelineRule::kWidthPreserved;
+  } else if (out_features == 0) {
+    return PipelineRule::kWidthMissing;
+  }
+  if (engine == PhaseEngine::kSparseSparse) {
+    if (!(weight_density > 0.0 && weight_density <= 1.0)) {
+      return PipelineRule::kDensityRange;
+    }
+    // omega-lint: allow(float-eq): 1.0 is the exact dense-default sentinel
+  } else if (weight_density != 1.0) {
+    return PipelineRule::kDensityNotSparse;
+  }
+  return PipelineRule::kNone;
+}
+
+/// A phase as the rule set reads it.
+struct RulePhase {
+  PhaseEngine engine;
+  std::size_t out_features;
+  double weight_density;
+  const IntraPhaseDataflow& dataflow;
+};
+
+/// The rule set behind both pipeline_violation overloads; `phase(i)` is
+/// phase i's RulePhase. Allocation-free: the eval plan runs it per
+/// candidate.
+template <typename PhaseAt>
+PipelineViolation first_violation(std::size_t n, const PhaseAt& phase,
+                                  std::span<const InterPhase> boundaries,
+                                  std::span<const double> fractions,
+                                  const AcceleratorConfig* hw) {
+  using R = PipelineRule;
+  if (n == 0) return {R::kNoPhases, 0};
+  if (boundaries.size() + 1 != n) return {R::kBoundaryArity, 0};
+  if (!fractions.empty() && fractions.size() != n) {
+    return {R::kFractionArity, 0};
+  }
+  for (const double f : fractions) {
+    if (!std::isfinite(f) || f <= 0.0) return {R::kFractionValue, 0};
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const RulePhase p = phase(i);
+    if (p.dataflow.phase != taxonomy_phase(p.engine)) {
+      return {R::kVocabulary, i};
+    }
+    try {
+      p.dataflow.validate();
+    } catch (const Error&) {
+      return {R::kDataflow, i};
+    }
+    if (const R r = chain_rule(p.engine, p.out_features, p.weight_density);
+        r != R::kNone) {
+      return {r, i};
+    }
+    if (p.engine == PhaseEngine::kSparseSparse &&
+        p.dataflow.order.depth_of(Dim::kG) >
+            p.dataflow.order.depth_of(Dim::kF)) {
+      return {R::kSparseWeightOrder, i};
+    }
+  }
+  for (std::size_t b = 0; b + 1 < n; ++b) {
+    const RulePhase prod = phase(b);
+    const RulePhase cons = phase(b + 1);
+    switch (boundaries[b]) {
+      case InterPhase::kSequential:
+        break;
+      case InterPhase::kSPOptimized:
+        if (spo_pair_violation(prod.engine, prod.dataflow, cons.engine,
+                               cons.dataflow) != SpoViolation::kNone) {
+          return {R::kSpOptimized, b};
+        }
+        break;
+      case InterPhase::kSPGeneric:
+      case InterPhase::kParallelPipeline:
+        if (!analyze_handoff(
+                 phase_producer_role(prod.engine, prod.dataflow.order),
+                 phase_consumer_role(cons.engine, cons.dataflow.order))
+                 .feasible) {
+          return {R::kHandoff, b};
+        }
+        break;
+    }
+    if (is_chunked(boundaries[b]) &&
+        cons.engine == PhaseEngine::kSparseSparse) {
+      return {R::kChunksIntoSparseWeight, b};
+    }
+  }
+  for (std::size_t b = 1; b + 1 < n; ++b) {
+    if (is_chunked(boundaries[b - 1]) && is_chunked(boundaries[b])) {
+      return {R::kTwoChunkedBoundaries, b};
+    }
+  }
+  if (hw == nullptr) return {};
+  // Substrate capability (Table II NoC/PE support column), then the PP
+  // split: a PE on each side, and no share that starves a phase.
+  for (std::size_t i = 0; i < n; ++i) {
+    const RulePhase p = phase(i);
+    const Dim contraction =
+        p.engine == PhaseEngine::kSparseDense ? Dim::kN : Dim::kF;
+    const bool spatial = p.dataflow.tiles.get(contraction) > 1;
+    if (spatial && !hw->supports_spatial_reduction) {
+      return {R::kNoSpatialReduction, i};
+    }
+    if (!spatial && !hw->supports_temporal_reduction) {
+      return {R::kNoTemporalReduction, i};
+    }
+  }
+  for (std::size_t b = 0; b + 1 < n; ++b) {
+    if (boundaries[b] != InterPhase::kParallelPipeline) continue;
+    if (hw->num_pes < 2) return {R::kPpTooFewPes, b};
+    const double share = pp_first_share(fractions, b);
+    if (!(share > 0.0 && share < 1.0)) return {R::kPpShare, b};
+  }
+  return {};
+}
+
+/// The fixed text of a spec-wide or per-phase rule; `df` is the phase's
+/// dataflow (null from chain_error, which meets only the chain rules).
+std::string rule_text(PipelineRule rule, const IntraPhaseDataflow* df) {
+  switch (rule) {
+    case PipelineRule::kNoPhases:
+      return "pipeline needs at least one phase";
+    case PipelineRule::kFractionArity:
+      return "pe_fractions must be empty or hold one entry per phase";
+    case PipelineRule::kFractionValue:
+      return "pe_fractions entries must be finite and > 0";
+    case PipelineRule::kVocabulary:
+      return "dataflow is expressed in the wrong loop vocabulary for the "
+             "engine (sparse-dense phases loop over V/N/F, dense and "
+             "sparse-weight phases over V/F/G)";
+    case PipelineRule::kDataflow:
+      try {
+        df->validate();
+      } catch (const Error& e) {
+        return e.what();
+      }
+      break;
+    case PipelineRule::kWidthPreserved:
+      return "sparse-dense phases preserve the feature width; leave "
+             "out_features 0";
+    case PipelineRule::kWidthMissing:
+      return "dense and sparse-weight phases need out_features >= 1";
+    case PipelineRule::kDensityRange:
+      return "weight_density must lie in (0, 1]";
+    case PipelineRule::kSparseWeightOrder:
+      return "sparse-weight phases walk the compressed W rows G-major over "
+             "the F contraction; the loop order must place G outside F "
+             "(got " +
+             df->order.letters() + ")";
+    case PipelineRule::kDensityNotSparse:
+      return "weight_density only applies to sparse-weight phases";
+    default:
+      break;
+  }
+  return {};
+}
+
+/// validation_error's text for a spec rule `v` breaks, or run_pipeline's
+/// ResourceError text for a substrate rule.
+std::string violation_message(const PipelineSpec& spec,
+                              const PipelineViolation& v) {
+  const std::size_t i = v.index;
+  const auto phase_text = [&] {
+    return "phase " + std::to_string(i) + " (" + spec.phases[i].to_string() +
+           "): ";
+  };
+  switch (v.rule) {
+    case PipelineRule::kNone:
+      break;
+    case PipelineRule::kBoundaryArity:
+      return "pipeline wants exactly one boundary per adjacent phase pair (" +
+             std::to_string(spec.phases.size()) + " phases, " +
+             std::to_string(spec.boundaries.size()) + " boundaries)";
+    case PipelineRule::kNoPhases:
+    case PipelineRule::kFractionArity:
+    case PipelineRule::kFractionValue:
+      return rule_text(v.rule, nullptr);
+    case PipelineRule::kVocabulary:
+    case PipelineRule::kDataflow:
+    case PipelineRule::kWidthPreserved:
+    case PipelineRule::kWidthMissing:
+    case PipelineRule::kDensityRange:
+    case PipelineRule::kSparseWeightOrder:
+    case PipelineRule::kDensityNotSparse:
+      return phase_text() + rule_text(v.rule, &spec.phases[i].dataflow);
+    case PipelineRule::kSpOptimized:
+      return *sp_optimized_pair_error(spec.phases[i], spec.phases[i + 1], i);
+    case PipelineRule::kHandoff:
+      return "boundary " + std::to_string(i) + " (" +
+             spec.phases[i].to_string() + " ->" +
+             omega::to_string(spec.boundaries[i]) + "-> " +
+             spec.phases[i + 1].to_string() + "): " +
+             analyze_handoff(spec.phases[i].producer_role(),
+                             spec.phases[i + 1].consumer_role())
+                 .reason;
+    case PipelineRule::kChunksIntoSparseWeight:
+      return "boundary " + std::to_string(i) + " (" +
+             spec.phases[i + 1].to_string() +
+             "): a sparse-weight phase cannot consume a chunked intermediate "
+             "(its walked rows are W rows, not intermediate rows); use Seq "
+             "or SP-Optimized upstream";
+    case PipelineRule::kTwoChunkedBoundaries:
+      return phase_text() +
+             "a phase can stage chunks through at most one adjacent "
+             "boundary (both neighbors are SP-Generic/PP); separate the "
+             "chunked boundaries with Seq or SP-Optimized";
+    case PipelineRule::kNoSpatialReduction:
+      return spec.phases[i].to_string() +
+             ": substrate has no spatial-reduction support "
+             "(adder tree / store-and-forward)";
+    case PipelineRule::kNoTemporalReduction:
+      return spec.phases[i].to_string() +
+             ": substrate has no temporal-reduction support "
+             "(in-place accumulators)";
+    case PipelineRule::kPpTooFewPes:
+      return spec.to_string() +
+             ": parallel pipeline needs >= 2 PEs to split the "
+             "array between the phases";
+    case PipelineRule::kPpShare:
+      return spec.to_string() +
+             ": PP PE shares must lie strictly inside (0, 1) — "
+             "0, 1 or NaN would starve a phase of PEs";
+  }
+  return {};
+}
 
 // Out^T swaps rows/columns, and flipping the traversal major keeps the
 // FLATTENED chunk order identical (row-major over (R, C) and column-major
 // over (C, R) enumerate the same (r, c) sequence), which is what lets a
-// transposed producer timeline compose index-by-index with an untransposed
-// consumer.
+// transposed sparse-weight producer's timeline compose index-by-index with
+// an untransposed consumer.
 ChunkSpec transpose_chunks(const ChunkSpec& c) {
   ChunkSpec t;
   t.rows = c.cols;
@@ -224,6 +442,8 @@ ChunkSpec transpose_chunks(const ChunkSpec& c) {
                                                  : TraversalMajor::kRowMajor;
   return t;
 }
+
+}  // namespace
 
 bool sp_optimized_pair_ok(PhaseEngine prod_engine,
                           const IntraPhaseDataflow& prod,
@@ -249,102 +469,35 @@ EnergyBreakdown compute_energy(const TrafficCounters& traffic,
   return e;
 }
 
+PipelineViolation pipeline_violation(const PipelineSpec& spec,
+                                     const AcceleratorConfig* hw) {
+  return first_violation(
+      spec.phases.size(),
+      [&](std::size_t i) {
+        const PhaseSpec& p = spec.phases[i];
+        return RulePhase{p.engine, p.out_features, p.weight_density,
+                         p.dataflow};
+      },
+      spec.boundaries, spec.pe_fractions, hw);
+}
+
+PipelineViolation pipeline_violation(const PipelineChainSpec& chain,
+                                     const PipelineBindingView& binding,
+                                     const AcceleratorConfig* hw) {
+  return first_violation(
+      chain.phases.size(),
+      [&](std::size_t i) {
+        const PhaseChainSpec& p = chain.phases[i];
+        return RulePhase{p.engine, p.out_features, p.weight_density,
+                         binding.phases[i]};
+      },
+      binding.boundaries, binding.pe_fractions, hw);
+}
+
 std::optional<std::string> PipelineSpec::validation_error() const {
-  if (phases.empty()) return "pipeline needs at least one phase";
-  if (boundaries.size() + 1 != phases.size()) {
-    return "pipeline wants exactly one boundary per adjacent phase pair (" +
-           std::to_string(phases.size()) + " phases, " +
-           std::to_string(boundaries.size()) + " boundaries)";
-  }
-  if (!pe_fractions.empty() && pe_fractions.size() != phases.size()) {
-    return "pe_fractions must be empty or hold one entry per phase";
-  }
-  for (const double f : pe_fractions) {
-    if (!std::isfinite(f) || f <= 0.0) {
-      return "pe_fractions entries must be finite and > 0";
-    }
-  }
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseSpec& p = phases[i];
-    // Prefix built lazily (failure path only): validation runs per candidate
-    // in pipeline sweeps, and the index names WHICH of N phases failed.
-    const auto who = [&] {
-      return "phase " + std::to_string(i) + " (" + p.to_string() + "): ";
-    };
-    if (p.dataflow.phase != taxonomy_phase(p.engine)) {
-      return who() + "dataflow is expressed in the wrong loop vocabulary for "
-                     "the engine (sparse-dense phases loop over V/N/F, dense "
-                     "and sparse-weight phases over V/F/G)";
-    }
-    try {
-      p.dataflow.validate();
-    } catch (const Error& e) {
-      return who() + e.what();
-    }
-    if (p.engine == PhaseEngine::kSparseDense) {
-      if (p.out_features != 0) {
-        return who() + "sparse-dense phases preserve the feature width; "
-                       "leave out_features 0";
-      }
-    } else if (p.out_features == 0) {
-      return who() + "dense and sparse-weight phases need out_features >= 1";
-    }
-    if (p.engine == PhaseEngine::kSparseSparse) {
-      if (!(p.weight_density > 0.0 && p.weight_density <= 1.0)) {
-        return who() + "weight_density must lie in (0, 1]";
-      }
-      if (p.dataflow.order.depth_of(Dim::kG) >
-          p.dataflow.order.depth_of(Dim::kF)) {
-        return who() + "sparse-weight phases walk the compressed W rows "
-                       "G-major over the F contraction; the loop order must "
-                       "place G outside F (got " +
-               p.dataflow.order.letters() + ")";
-      }
-      // omega-lint: allow(float-eq): 1.0 is the exact dense-default sentinel
-    } else if (p.weight_density != 1.0) {
-      return who() + "weight_density only applies to sparse-weight phases";
-    }
-  }
-  for (std::size_t b = 0; b < boundaries.size(); ++b) {
-    const PhaseSpec& prod = phases[b];
-    const PhaseSpec& cons = phases[b + 1];
-    switch (boundaries[b]) {
-      case InterPhase::kSequential:
-        break;
-      case InterPhase::kSPOptimized:
-        if (const auto err = sp_optimized_pair_error(prod, cons, b)) {
-          return err;
-        }
-        break;
-      case InterPhase::kSPGeneric:
-      case InterPhase::kParallelPipeline: {
-        const PipelineAnalysis a =
-            analyze_handoff(prod.producer_role(), cons.consumer_role());
-        if (!a.feasible) {
-          return "boundary " + std::to_string(b) + " (" + prod.to_string() +
-                 " ->" + omega::to_string(boundaries[b]) + "-> " +
-                 cons.to_string() + "): " + a.reason;
-        }
-        break;
-      }
-    }
-    if (is_chunked(boundaries[b]) &&
-        cons.engine == PhaseEngine::kSparseSparse) {
-      return "boundary " + std::to_string(b) + " (" + cons.to_string() +
-             "): a sparse-weight phase cannot consume a chunked intermediate "
-             "(its walked rows are W rows, not intermediate rows); use Seq "
-             "or SP-Optimized upstream";
-    }
-  }
-  for (std::size_t b = 1; b < boundaries.size(); ++b) {
-    if (is_chunked(boundaries[b - 1]) && is_chunked(boundaries[b])) {
-      return "phase " + std::to_string(b) + " (" + phases[b].to_string() +
-             "): a phase can stage chunks through at most one adjacent "
-             "boundary (both neighbors are SP-Generic/PP); separate the "
-             "chunked boundaries with Seq or SP-Optimized";
-    }
-  }
-  return std::nullopt;
+  const PipelineViolation v = pipeline_violation(*this, nullptr);
+  if (v.rule == PipelineRule::kNone) return std::nullopt;
+  return violation_message(*this, v);
 }
 
 void PipelineSpec::validate() const {
@@ -364,29 +517,16 @@ PipelineChainSpec PipelineChainSpec::of(const PipelineSpec& spec) {
 }
 
 std::optional<std::string> PipelineChainSpec::chain_error() const {
-  if (phases.empty()) return "pipeline needs at least one phase";
+  if (phases.empty()) return rule_text(PipelineRule::kNoPhases, nullptr);
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const PhaseChainSpec& p = phases[i];
-    const auto who = [&] {
+    const PipelineRule r = chain_rule(p.engine, p.out_features,
+                                      p.weight_density);
+    if (r != PipelineRule::kNone) {
       return "phase " + std::to_string(i) + " (" +
              (p.name.empty() ? std::string("phase") : p.name) + "=" +
-             std::string(omega::to_string(p.engine)) + "): ";
-    };
-    if (p.engine == PhaseEngine::kSparseDense) {
-      if (p.out_features != 0) {
-        return who() + "sparse-dense phases preserve the feature width; "
-                       "leave out_features 0";
-      }
-    } else if (p.out_features == 0) {
-      return who() + "dense and sparse-weight phases need out_features >= 1";
-    }
-    if (p.engine == PhaseEngine::kSparseSparse) {
-      if (!(p.weight_density > 0.0 && p.weight_density <= 1.0)) {
-        return who() + "weight_density must lie in (0, 1]";
-      }
-      // omega-lint: allow(float-eq): 1.0 is the exact dense-default sentinel
-    } else if (p.weight_density != 1.0) {
-      return who() + "weight_density only applies to sparse-weight phases";
+             std::string(omega::to_string(p.engine)) +
+             "): " + rule_text(r, nullptr);
     }
   }
   return std::nullopt;
@@ -583,6 +723,190 @@ RunResult to_run_result(PipelineResult&& pr, const DataflowDescriptor& df) {
   return r;
 }
 
+BoundaryOutcome PipelineLowering::boundary(InterPhase inter,
+                                           PhaseEngine prod_engine,
+                                           const IntraPhaseDataflow& prod,
+                                           PhaseEngine cons_engine,
+                                           const IntraPhaseDataflow& cons,
+                                           std::size_t cols) const {
+  BoundaryOutcome bo;
+  bo.inter = inter;
+  bo.rows = rows;
+  bo.cols = cols;
+  bo.chunk_grid = ChunkSpec::whole(rows, cols);
+  if (inter == InterPhase::kParallelPipeline ||
+      (stage_sp_generic && inter == InterPhase::kSPGeneric)) {
+    const HandoffRole p = phase_producer_role(prod_engine, prod.order);
+    const HandoffRole c = phase_consumer_role(cons_engine, cons.order);
+    const PipelineAnalysis analysis = analyze_handoff(p, c);
+    OMEGA_CHECK(analysis.feasible, "validated pipeline must be chunkable");
+    bo.granularity = analysis.granularity;
+    bo.chunk_grid.major = analysis.major;
+    // The largest tile across the pair for the intermediate's row / column
+    // dimension: Table III's T_Vmax / T_Fmax for any producer and consumer.
+    const std::size_t t_row = std::min(
+        std::max(prod.tiles.get(p.row), cons.tiles.get(c.row)), rows);
+    const std::size_t t_col = std::min(
+        std::max(prod.tiles.get(p.col), cons.tiles.get(c.col)), cols);
+    switch (bo.granularity) {
+      case Granularity::kElement:
+        bo.chunk_grid.row_block = t_row;
+        bo.chunk_grid.col_block = t_col;
+        bo.pipeline_elements = sat_mul_u64(t_row, t_col);
+        break;
+      case Granularity::kRow:
+        bo.chunk_grid.row_block = t_row;
+        bo.pipeline_elements = sat_mul_u64(t_row, cols);
+        break;
+      case Granularity::kColumn:
+        bo.chunk_grid.col_block = t_col;
+        bo.pipeline_elements = sat_mul_u64(rows, t_col);
+        break;
+      case Granularity::kNone:
+        break;
+    }
+    bo.pipeline_chunks = bo.chunk_grid.num_chunks();
+  }
+  // The sizes saturate, so an astronomically large intermediate cannot wrap
+  // into a small buffer or "fits on chip" (DESIGN.md "Overflow contract").
+  switch (inter) {
+    case InterPhase::kSequential:
+      bo.buffer_elements = sat_mul_u64(rows, cols);
+      break;
+    case InterPhase::kSPGeneric:
+      bo.buffer_elements = bo.pipeline_elements;
+      break;
+    case InterPhase::kSPOptimized:
+      break;
+    case InterPhase::kParallelPipeline:
+      bo.buffer_elements = sat_mul_u64(2, bo.pipeline_elements);
+      break;
+  }
+  bo.spilled = inter == InterPhase::kSequential &&
+               sat_mul_u64(bo.buffer_elements, hw.element_bytes) > hw.gb_bytes;
+  bo.overlapped = inter == InterPhase::kParallelPipeline;
+  return bo;
+}
+
+PhaseSplit PipelineLowering::split(std::span<const InterPhase> boundaries,
+                                   std::span<const double> pe_fractions,
+                                   std::size_t i) const {
+  PhaseSplit s{hw.num_pes, hw.distribution_bandwidth, hw.reduction_bandwidth};
+  const bool pp_first =
+      i < boundaries.size() && boundaries[i] == InterPhase::kParallelPipeline;
+  const bool pp_second =
+      i > 0 && boundaries[i - 1] == InterPhase::kParallelPipeline;
+  if (!pp_first && !pp_second) return s;
+  const double share = pp_first_share(pe_fractions, pp_first ? i : i - 1);
+  const std::size_t first = std::clamp<std::size_t>(
+      static_cast<std::size_t>(
+          std::llround(static_cast<double>(hw.num_pes) * share)),
+      1, hw.num_pes - 1);
+  s.pes = pp_first ? first : hw.num_pes - first;
+  s.bw_dist = scaled_bandwidth(hw.distribution_bandwidth, s.pes, hw.num_pes);
+  s.bw_red = scaled_bandwidth(hw.reduction_bandwidth, s.pes, hw.num_pes);
+  return s;
+}
+
+template <typename Config>
+Config PipelineLowering::phase(PhaseEngine engine,
+                               const IntraPhaseDataflow& df, std::size_t in_w,
+                               std::size_t out_w, const BoundaryOutcome* up,
+                               const BoundaryOutcome* down,
+                               const PhaseSplit& share) const {
+  constexpr bool kGemm = std::is_same_v<Config, GemmPhaseConfig>;
+  OMEGA_CHECK(kGemm == (engine == PhaseEngine::kDenseDense),
+              "dense phases lower to GEMM configs, the others to SpMM ones");
+  // The intermediate a phase consumes or produces stays in the PE register
+  // files across an SP-Optimized boundary, goes through DRAM across a
+  // spilled Seq one and through the ping-pong partition across a PP one.
+  const auto is = [](const BoundaryOutcome* bo, InterPhase inter) {
+    return bo != nullptr && bo->inter == inter;
+  };
+  const auto staged = [](const BoundaryOutcome* bo) {
+    return bo != nullptr && bo->granularity != Granularity::kNone;
+  };
+  Config cfg;
+  cfg.pes = share.pes;
+  cfg.bw_dist = share.bw_dist;
+  cfg.bw_red = share.bw_red;
+  cfg.rf_elements = hw.rf_elements_per_pe();
+  cfg.out_category = down != nullptr ? TrafficCategory::kIntermediate
+                                     : TrafficCategory::kOutput;
+  cfg.out_to_rf = is(down, InterPhase::kSPOptimized);
+  cfg.out_in_dram = down != nullptr && down->spilled;
+  cfg.out_drain_bw = cfg.out_in_dram ? hw.dram_bandwidth : 0;
+  cfg.out_via_partition = is(down, InterPhase::kParallelPipeline);
+  // An engine tracks one chunk grid: the consumed intermediate's, else the
+  // produced one's. A sparse-weight phase produces Out^T, so it walks the
+  // transposed grid (the rule set keeps chunks out of its input).
+  if (staged(up)) {
+    cfg.chunks = up->chunk_grid;
+    cfg.chunk_target = ChunkTarget::kMatrixA;
+  } else if (staged(down)) {
+    cfg.chunks = engine == PhaseEngine::kSparseSparse
+                     ? transpose_chunks(down->chunk_grid)
+                     : down->chunk_grid;
+    cfg.chunk_target = ChunkTarget::kMatrixOut;
+  }
+  const TrafficCategory in_cat =
+      up != nullptr ? TrafficCategory::kIntermediate : TrafficCategory::kInput;
+  const bool in_dram = up != nullptr && up->spilled;
+  if constexpr (kGemm) {
+    cfg.rows = rows;
+    cfg.inner = in_w;
+    cfg.cols = out_w;
+    cfg.order = df.order;
+    cfg.tiles = df.tiles;
+    cfg.a_category = in_cat;
+    cfg.a_from_rf = is(up, InterPhase::kSPOptimized);
+    cfg.a_in_dram = in_dram;
+    cfg.a_stream_bw = in_dram ? hw.dram_bandwidth : 0;
+    cfg.a_via_partition = is(up, InterPhase::kParallelPipeline);
+  } else {
+    cfg.b_category = in_cat;
+    cfg.b_from_rf = is(up, InterPhase::kSPOptimized);
+    cfg.b_in_dram = in_dram;
+    cfg.b_stream_bw = in_dram ? hw.dram_bandwidth : 0;
+    cfg.b_via_partition = is(up, InterPhase::kParallelPipeline);
+    if (engine == PhaseEngine::kSparseDense) {
+      cfg.graph = graph;
+      cfg.context = context;
+      cfg.order = df.order;
+      cfg.tiles = df.tiles;
+      cfg.feat = in_w;
+    } else {
+      // Transposed problem Out^T[G,V] = W^T[G,F] x X^T[F,V]: the SpMM
+      // engine walks W^T rows exactly like adjacency rows — fewer nonzeros
+      // per row (lower density) mean fewer neighbor steps and less
+      // metadata/operand traffic. Loop dims translate G->V, F->N, V->Feat
+      // (the vocabulary rule rules out N); the consumed X^T becomes the
+      // engine's B operand. The workload context is bound to the
+      // adjacency, so none is passed.
+      const auto translate = [](Dim d) {
+        if (d == Dim::kG) return Dim::kV;
+        if (d == Dim::kF) return Dim::kN;
+        return Dim::kF;
+      };
+      cfg.order = LoopOrder(translate(df.order.at(0)),
+                            translate(df.order.at(1)),
+                            translate(df.order.at(2)));
+      cfg.tiles.v = df.tiles.g;
+      cfg.tiles.n = df.tiles.f;
+      cfg.tiles.f = df.tiles.v;
+      cfg.feat = rows;
+    }
+  }
+  return cfg;
+}
+
+template GemmPhaseConfig PipelineLowering::phase<GemmPhaseConfig>(
+    PhaseEngine, const IntraPhaseDataflow&, std::size_t, std::size_t,
+    const BoundaryOutcome*, const BoundaryOutcome*, const PhaseSplit&) const;
+template SpmmPhaseConfig PipelineLowering::phase<SpmmPhaseConfig>(
+    PhaseEngine, const IntraPhaseDataflow&, std::size_t, std::size_t,
+    const BoundaryOutcome*, const BoundaryOutcome*, const PhaseSplit&) const;
+
 PipelineResult Omega::run_pipeline(const GnnWorkload& workload,
                                    const PipelineSpec& spec,
                                    const WorkloadContext* context) const {
@@ -593,327 +917,94 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
                                         const PipelineSpec& spec,
                                         const WorkloadContext* context,
                                         bool validated) const {
-  if (!validated) spec.validate();
+  // The rule set: a spec rule throws before the workload dims are checked,
+  // a substrate or PP-split rule after. The pre-validated adapter path skips
+  // it: Omega::run already performed the equivalent descriptor checks
+  // (with the legacy descriptor-notation messages) before lowering, its PP
+  // split among them.
+  const PipelineViolation violation =
+      validated ? PipelineViolation{} : pipeline_violation(spec, &hw_);
+  if (violation.rule != PipelineRule::kNone && !violation.substrate()) {
+    throw InvalidDataflowError("pipeline " + spec.to_string() + ": " +
+                               violation_message(spec, violation));
+  }
   const std::size_t n = spec.phases.size();
   const std::size_t v = workload.num_vertices();
   OMEGA_CHECK(v >= 1, "workload needs at least one vertex");
 
   // ---- Feature widths along the chain --------------------------------------
-  std::vector<std::size_t> in_w(n);
-  std::vector<std::size_t> out_w(n);
+  PipelineResult result;
+  result.phases.resize(n);
   std::size_t width =
       spec.in_features > 0 ? spec.in_features : workload.in_features;
   OMEGA_CHECK(width >= 1, "first-phase input width must be >= 1");
   for (std::size_t i = 0; i < n; ++i) {
     const PhaseSpec& p = spec.phases[i];
-    in_w[i] = width;
-    out_w[i] = p.engine == PhaseEngine::kSparseDense ? width : p.out_features;
-    width = out_w[i];
-  }
-
-  // ---- Substrate capability checks (Table II NoC/PE support column) --------
-  // Skipped on the pre-validated adapter path: Omega::run already performed
-  // the equivalent hardware_requirements() checks (with the legacy
-  // descriptor-notation messages) before lowering, and this loop runs once
-  // per candidate in sweep hot loops.
-  if (!validated) {
-    for (const PhaseSpec& p : spec.phases) {
-      const Dim contraction =
-          p.engine == PhaseEngine::kSparseDense ? Dim::kN : Dim::kF;
-      const bool spatial = p.dataflow.tiles.get(contraction) > 1;
-      if (spatial && !hw_.supports_spatial_reduction) {
-        throw ResourceError(p.to_string() +
-                            ": substrate has no spatial-reduction support "
-                            "(adder tree / store-and-forward)");
-      }
-      if (!spatial && !hw_.supports_temporal_reduction) {
-        throw ResourceError(p.to_string() +
-                            ": substrate has no temporal-reduction support "
-                            "(in-place accumulators)");
-      }
-    }
-  }
-
-  // ---- PE and bandwidth allocation -----------------------------------------
-  // Phases default to the whole array; each PP boundary splits it between
-  // its pair (validation caps every phase at one chunked boundary, so PP
-  // groups are exactly pairs) and both sides share the GB ports
-  // proportionally (Section V-C3).
-  std::vector<std::size_t> pes(n, hw_.num_pes);
-  std::vector<std::size_t> bw_dist(n, hw_.distribution_bandwidth);
-  std::vector<std::size_t> bw_red(n, hw_.reduction_bandwidth);
-  for (std::size_t b = 0; b + 1 < n; ++b) {
-    if (spec.boundaries[b] != InterPhase::kParallelPipeline) continue;
-    if (hw_.num_pes < 2) {
-      throw ResourceError(spec.to_string() +
-                          ": parallel pipeline needs >= 2 PEs to split the "
-                          "array between the phases");
-    }
-    const double share = spec.pp_first_share(b);
-    if (!(share > 0.0 && share < 1.0)) {
-      throw ResourceError(spec.to_string() +
-                          ": PP PE shares must lie strictly inside (0, 1) — "
-                          "0, 1 or NaN would starve a phase of PEs");
-    }
-    const std::size_t first = std::clamp<std::size_t>(
-        static_cast<std::size_t>(
-            std::llround(static_cast<double>(hw_.num_pes) * share)),
-        1, hw_.num_pes - 1);
-    pes[b] = first;
-    pes[b + 1] = hw_.num_pes - first;
-    bw_dist[b] =
-        scaled_bandwidth(hw_.distribution_bandwidth, pes[b], hw_.num_pes);
-    bw_dist[b + 1] =
-        scaled_bandwidth(hw_.distribution_bandwidth, pes[b + 1], hw_.num_pes);
-    bw_red[b] = scaled_bandwidth(hw_.reduction_bandwidth, pes[b], hw_.num_pes);
-    bw_red[b + 1] =
-        scaled_bandwidth(hw_.reduction_bandwidth, pes[b + 1], hw_.num_pes);
-  }
-
-  // ---- Boundary plans (Table III generalized to adjacent pairs) ------------
-  PipelineResult result;
-  result.boundaries.resize(n > 0 ? n - 1 : 0);
-  for (std::size_t b = 0; b + 1 < n; ++b) {
-    BoundaryOutcome& bo = result.boundaries[b];
-    bo.inter = spec.boundaries[b];
-    bo.rows = v;
-    bo.cols = out_w[b];
-    bo.chunk_grid = ChunkSpec::whole(bo.rows, bo.cols);
-    const PhaseSpec& prod = spec.phases[b];
-    const PhaseSpec& cons = spec.phases[b + 1];
-    std::size_t t_row = 0;
-    std::size_t t_col = 0;
-    if (bo.inter != InterPhase::kSequential &&
-        bo.inter != InterPhase::kSPOptimized) {
-      const PipelineAnalysis analysis =
-          analyze_handoff(prod.producer_role(), cons.consumer_role());
-      OMEGA_CHECK(analysis.feasible, "validated pipeline must be chunkable");
-      bo.granularity = analysis.granularity;
-      bo.chunk_grid.major = analysis.major;
-      t_row = std::min(pair_t_row(prod, cons), bo.rows);
-      t_col = std::min(pair_t_col(prod, cons), bo.cols);
-      switch (bo.granularity) {
-        case Granularity::kElement:
-          bo.chunk_grid.row_block = t_row;
-          bo.chunk_grid.col_block = t_col;
-          bo.pipeline_elements = t_row * t_col;
-          break;
-        case Granularity::kRow:
-          bo.chunk_grid.row_block = t_row;
-          bo.pipeline_elements = t_row * bo.cols;
-          break;
-        case Granularity::kColumn:
-          bo.chunk_grid.col_block = t_col;
-          bo.pipeline_elements = bo.rows * t_col;
-          break;
-        case Granularity::kNone:
-          break;
-      }
-    }
-    switch (bo.inter) {
-      case InterPhase::kSequential:
-        bo.buffer_elements = bo.rows * bo.cols;
-        break;
-      case InterPhase::kSPGeneric:
-        bo.buffer_elements = bo.pipeline_elements;
-        break;
-      case InterPhase::kSPOptimized:
-        bo.buffer_elements = 0;
-        break;
-      case InterPhase::kParallelPipeline:
-        bo.buffer_elements = 2 * bo.pipeline_elements;
-        break;
-    }
-    bo.pipeline_chunks = is_chunked(bo.inter) ? bo.chunk_grid.num_chunks() : 1;
-    // Seq spill decision: the product saturates so an astronomically large
-    // intermediate cannot wrap into "fits on chip" (DESIGN.md "Overflow
-    // contract").
-    const std::uint64_t int_bytes =
-        sat_mul_u64(sat_mul_u64(bo.rows, bo.cols), hw_.element_bytes);
-    bo.spilled =
-        bo.inter == InterPhase::kSequential && int_bytes > hw_.gb_bytes;
-  }
-
-  // ---- Per-phase engine evaluation -----------------------------------------
-  result.phases.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const PhaseSpec& p = spec.phases[i];
-    const BoundaryOutcome* up = i > 0 ? &result.boundaries[i - 1] : nullptr;
-    const BoundaryOutcome* down =
-        i + 1 < n ? &result.boundaries[i] : nullptr;
-    const bool in_from_rf = up != nullptr && up->inter == InterPhase::kSPOptimized;
-    const bool in_dram = up != nullptr && up->spilled;
-    const bool in_via_partition =
-        up != nullptr && up->inter == InterPhase::kParallelPipeline;
-    const bool out_to_rf =
-        down != nullptr && down->inter == InterPhase::kSPOptimized;
-    const bool out_in_dram = down != nullptr && down->spilled;
-    const bool out_via_partition =
-        down != nullptr && down->inter == InterPhase::kParallelPipeline;
-    const TrafficCategory in_cat =
-        up != nullptr ? TrafficCategory::kIntermediate : TrafficCategory::kInput;
-    const TrafficCategory out_cat = down != nullptr
-                                        ? TrafficCategory::kIntermediate
-                                        : TrafficCategory::kOutput;
-    const bool up_chunked = up != nullptr && is_chunked(up->inter);
-    const bool down_chunked = down != nullptr && is_chunked(down->inter);
-
     PhaseOutcome& po = result.phases[i];
     po.name = p.name;
     po.engine = p.engine;
-    po.pes = pes[i];
-    po.in_features = in_w[i];
-    po.out_features = out_w[i];
-    po.static_utilization = static_utilization(p.dataflow, pes[i]);
+    po.in_features = width;
+    po.out_features =
+        p.engine == PhaseEngine::kSparseDense ? width : p.out_features;
+    width = po.out_features;
+  }
+  if (violation.rule != PipelineRule::kNone) {
+    throw ResourceError(violation_message(spec, violation));
+  }
 
-    switch (p.engine) {
-      case PhaseEngine::kSparseDense: {
-        SpmmPhaseConfig cfg;
-        cfg.graph = &workload.adjacency;
-        cfg.context = context;
-        cfg.order = p.dataflow.order;
-        cfg.tiles = p.dataflow.tiles;
-        cfg.feat = in_w[i];
-        cfg.pes = pes[i];
-        cfg.bw_dist = bw_dist[i];
-        cfg.bw_red = bw_red[i];
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.b_category = in_cat;
-        cfg.b_from_rf = in_from_rf;
-        cfg.b_in_dram = in_dram;
-        cfg.b_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.b_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (up_chunked) {
-          cfg.chunks = up->chunk_grid;
-          cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (down_chunked) {
-          cfg.chunks = down->chunk_grid;
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        po.result = resolve_phase(cfg, context);
-        break;
-      }
-      case PhaseEngine::kDenseDense: {
-        GemmPhaseConfig cfg;
-        cfg.rows = v;
-        cfg.inner = in_w[i];
-        cfg.cols = out_w[i];
-        cfg.order = p.dataflow.order;
-        cfg.tiles = p.dataflow.tiles;
-        cfg.pes = pes[i];
-        cfg.bw_dist = bw_dist[i];
-        cfg.bw_red = bw_red[i];
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.a_category = in_cat;
-        cfg.a_from_rf = in_from_rf;
-        cfg.a_in_dram = in_dram;
-        cfg.a_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.a_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (up_chunked) {
-          cfg.chunks = up->chunk_grid;
-          cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (down_chunked) {
-          cfg.chunks = down->chunk_grid;
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        po.result = resolve_phase(cfg, context);
-        break;
-      }
-      case PhaseEngine::kSparseSparse: {
-        // Transposed problem Out^T[G,V] = W^T[G,F] x X^T[F,V]: the SpMM
-        // engine walks W^T rows exactly like adjacency rows — fewer
-        // nonzeros per row (lower density) mean fewer neighbor steps and
-        // less metadata/operand traffic. Loop dims translate G->V, F->N,
-        // V->Feat; the consumed X^T becomes the engine's B operand.
-        const auto translate = [](Dim d) {
-          switch (d) {
-            case Dim::kG: return Dim::kV;
-            case Dim::kF: return Dim::kN;
-            case Dim::kV: return Dim::kF;
-            case Dim::kN: break;
-          }
-          throw InvalidDataflowError(
-              "sparse-weight phases loop over V/F/G only");
-        };
-        SpmmPhaseConfig cfg;
-        cfg.context = nullptr;  // the workload context is bound to the graph
-        cfg.order = LoopOrder(translate(p.dataflow.order.at(0)),
-                              translate(p.dataflow.order.at(1)),
-                              translate(p.dataflow.order.at(2)));
-        cfg.tiles.v = p.dataflow.tiles.g;
-        cfg.tiles.n = p.dataflow.tiles.f;
-        cfg.tiles.f = p.dataflow.tiles.v;
-        cfg.feat = v;
-        cfg.pes = pes[i];
-        cfg.bw_dist = bw_dist[i];
-        cfg.bw_red = bw_red[i];
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.b_category = in_cat;
-        cfg.b_from_rf = in_from_rf;
-        cfg.b_in_dram = in_dram;
-        cfg.b_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.b_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (down_chunked) {
-          cfg.chunks = transpose_chunks(down->chunk_grid);
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        po.result = resolve_sparse_weight_phase(cfg, in_w[i], out_w[i],
-                                                p.weight_density, context);
-        break;
-      }
+  // ---- Lower, resolve and compose ------------------------------------------
+  const PipelineLowering lower{hw_, energy_, &workload.adjacency, context, v,
+                               /*stage_sp_generic=*/true};
+  result.boundaries.resize(n - 1);
+  for (std::size_t b = 0; b + 1 < n; ++b) {
+    const PhaseSpec& prod = spec.phases[b];
+    const PhaseSpec& cons = spec.phases[b + 1];
+    result.boundaries[b] = lower.boundary(
+        spec.boundaries[b], prod.engine, prod.dataflow, cons.engine,
+        cons.dataflow, result.phases[b].out_features);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const PhaseSpec& p = spec.phases[i];
+    PhaseOutcome& po = result.phases[i];
+    const BoundaryOutcome* up = i > 0 ? &result.boundaries[i - 1] : nullptr;
+    const BoundaryOutcome* down = i + 1 < n ? &result.boundaries[i] : nullptr;
+    const PhaseSplit share = lower.split(spec.boundaries, spec.pe_fractions, i);
+    po.pes = share.pes;
+    po.static_utilization = static_utilization(p.dataflow, po.pes);
+    if (p.engine == PhaseEngine::kDenseDense) {
+      po.result = resolve_phase(
+          lower.phase<GemmPhaseConfig>(p.engine, p.dataflow, po.in_features,
+                                       po.out_features, up, down, share),
+          context);
+      continue;
     }
+    const SpmmPhaseConfig cfg = lower.phase<SpmmPhaseConfig>(
+        p.engine, p.dataflow, po.in_features, po.out_features, up, down,
+        share);
+    po.result = p.engine == PhaseEngine::kSparseDense
+                    ? resolve_phase(cfg, context)
+                    : resolve_sparse_weight_phase(cfg, po.in_features,
+                                                  po.out_features,
+                                                  p.weight_density, context);
   }
-
-  // ---- Compose cycles, traffic and energy ----------------------------------
-  // PP pairs overlap chunk-by-chunk (the consumer starts chunk i once the
-  // producer completed it); everything else serializes, so the makespan is
-  // the saturating sum over segments.
-  result.cycles = 0;
-  for (std::size_t i = 0; i < n;) {
-    if (i + 1 < n &&
-        spec.boundaries[i] == InterPhase::kParallelPipeline) {
-      result.boundaries[i].overlapped = true;
-      result.cycles = sat_add_u64(
-          result.cycles,
-          compose_parallel_pipeline(result.phases[i].result.chunk_completion,
-                                    result.phases[i + 1].result.chunk_cycles));
-      i += 2;
-    } else {
-      result.cycles = sat_add_u64(result.cycles, result.phases[i].result.cycles);
-      i += 1;
-    }
-  }
-
-  for (const PhaseOutcome& po : result.phases) {
-    result.traffic += po.result.traffic;
-  }
-  std::size_t partition_bytes = 0;
-  for (const BoundaryOutcome& bo : result.boundaries) {
-    if (bo.inter == InterPhase::kParallelPipeline) {
-      partition_bytes = std::max(partition_bytes,
-                                 bo.buffer_elements * hw_.element_bytes);
-    }
-  }
-  result.energy = compute_energy(result.traffic, energy_, partition_bytes);
-
+  // The PP recurrence runs here on every call, so the fuzzes check the
+  // term store's pair memo (the eval plan's) against it.
+  const PipelineCost cost = lower.compose(
+      result.boundaries,
+      [&](std::size_t i) -> const PhaseResult& {
+        return result.phases[i].result;
+      },
+      [&](std::size_t b) {
+        return compose_parallel_pipeline(
+            result.phases[b].result.chunk_completion,
+            result.phases[b + 1].result.chunk_cycles);
+      });
+  result.cycles = cost.cycles;
+  result.traffic = cost.traffic;
+  result.energy = cost.energy;
   result.num_rows = v;
-  result.in_features = in_w.empty() ? 0 : in_w.front();
-  result.out_features = out_w.empty() ? 0 : out_w.back();
+  result.in_features = result.phases.front().in_features;
+  result.out_features = result.phases.back().out_features;
   return result;
 }
 

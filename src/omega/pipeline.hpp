@@ -35,6 +35,7 @@
 //    they can produce into a chunked boundary but not consume from one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "omega/omega.hpp"
+#include "util/saturate.hpp"
 
 namespace omega {
 
@@ -104,9 +106,9 @@ struct PhaseSpec {
 };
 
 /// Hand-off roles derived from the engine kind and loop order alone —
-/// PhaseSpec::producer_role/consumer_role delegate here, and the DSE eval
-/// core derives boundary plans per candidate without materializing
-/// PhaseSpecs (no name strings on the hot path).
+/// PhaseSpec::producer_role/consumer_role delegate here, and the lowering
+/// derives boundary plans per candidate without materializing PhaseSpecs
+/// (no name strings on the eval plan's hot path).
 [[nodiscard]] HandoffRole phase_producer_role(PhaseEngine e,
                                               const LoopOrder& order);
 [[nodiscard]] HandoffRole phase_consumer_role(PhaseEngine e,
@@ -131,9 +133,6 @@ struct PipelineSpec {
   std::vector<double> pe_fractions;
   /// First-phase input width override; 0 = the workload's feature width.
   std::size_t in_features = 0;
-
-  /// PE share of the first phase of PP boundary `b`'s pair.
-  [[nodiscard]] double pp_first_share(std::size_t b) const;
 
   /// Like DataflowDescriptor: returns the failure reason, or throws
   /// InvalidDataflowError with it.
@@ -171,10 +170,10 @@ struct PipelineChainSpec {
   /// Chain projection of a full spec (drops the per-phase dataflows).
   [[nodiscard]] static PipelineChainSpec of(const PipelineSpec& spec);
 
-  /// Binding-invariant validation (arity, per-phase width/density rules —
-  /// the chain-level subset of PipelineSpec::validation_error, with the
-  /// same phase-indexed messages). Dataflow- and boundary-dependent rules
-  /// can only be checked on a bound spec.
+  /// Binding-invariant validation: the chain-level rules of
+  /// pipeline_violation (at least one phase, per-phase width/density) with
+  /// PipelineSpec::validation_error's phase-indexed messages. Dataflow- and
+  /// boundary-dependent rules can only be checked on a bound spec.
   [[nodiscard]] std::optional<std::string> chain_error() const;
 
   /// Full spec from a candidate binding; throws InvalidArgumentError on an
@@ -227,6 +226,176 @@ struct PipelineResult {
   EnergyBreakdown energy;
 };
 
+/// Prices a traffic profile through the energy model: per-category GB
+/// accesses, RF, DRAM, and the PP intermediate-partition buffer (sized
+/// `partition_bytes`; 0 when no boundary buffers). This is the single
+/// energy-accounting function; PipelineLowering::compose calls it for
+/// Omega::run, run_pipeline and the eval plan alike.
+[[nodiscard]] EnergyBreakdown compute_energy(const TrafficCounters& traffic,
+                                             const EnergyModel& em,
+                                             std::size_t partition_bytes);
+
+// ---- The one lowering: bound pipeline -> engine configs ---------------------
+//
+// Omega::run_pipeline and PipelineEvalPlan::evaluate (engine/eval_core.hpp)
+// derive a bound pipeline's engine configs and cost through these functions
+// alone: the rule set, one Table III plan per boundary, one PE/bandwidth
+// split and one engine config per phase, and one composition. The callers
+// differ only in how they resolve a config into a PhaseResult and compose a
+// PP pair (the plan through its context's term store), and in
+// PipelineLowering::stage_sp_generic.
+
+/// The rules a bound pipeline can break, in the order pipeline_violation
+/// checks them. The index of a PipelineViolation names the phase or the
+/// boundary the rule is about (0 for the spec-wide rules).
+enum class PipelineRule : std::uint8_t {
+  kNone = 0,
+  // Spec-wide.
+  kNoPhases,
+  kBoundaryArity,
+  kFractionArity,
+  kFractionValue,
+  // Per phase.
+  kVocabulary,          // dataflow in the wrong loop vocabulary
+  kDataflow,            // IntraPhaseDataflow::validate throws
+  kWidthPreserved,      // sparse-dense phase with out_features != 0
+  kWidthMissing,        // dense / sparse-weight phase with out_features 0
+  kDensityRange,        // weight_density outside (0, 1]
+  kSparseWeightOrder,   // sparse-weight loop order places F outside G
+  kDensityNotSparse,    // weight_density != 1 on a non-sparse-weight phase
+  // Per boundary.
+  kSpOptimized,             // SP-Optimized pair constraints (Table II)
+  kHandoff,                 // SP-Generic / PP pair fails analyze_handoff
+  kChunksIntoSparseWeight,  // a sparse-weight phase consumes chunks
+  // Per phase: both adjacent boundaries are chunked.
+  kTwoChunkedBoundaries,
+  // Substrate (per phase), then the PP split (per boundary).
+  kNoSpatialReduction,
+  kNoTemporalReduction,
+  kPpTooFewPes,
+  kPpShare,
+};
+
+struct PipelineViolation {
+  PipelineRule rule = PipelineRule::kNone;
+  std::size_t index = 0;
+
+  /// Substrate and PP-split rules: Omega::run_pipeline throws ResourceError
+  /// for these and InvalidDataflowError for the spec rules before them.
+  [[nodiscard]] bool substrate() const {
+    return rule >= PipelineRule::kNoSpatialReduction;
+  }
+};
+
+/// The one rule set: the first rule `spec` breaks. `hw` adds the checks of
+/// binding to a substrate (spatial/temporal reduction support per phase,
+/// then >= 2 PEs and a first-phase share strictly inside (0, 1) per PP
+/// boundary); null checks the spec rules alone (validation_error).
+[[nodiscard]] PipelineViolation pipeline_violation(
+    const PipelineSpec& spec, const AcceleratorConfig* hw);
+/// The same rule set on `chain` bound to `binding` without materializing
+/// the spec (the eval plan's check of each candidate). `binding.phases`
+/// must hold one dataflow per chain phase.
+[[nodiscard]] PipelineViolation pipeline_violation(
+    const PipelineChainSpec& chain, const PipelineBindingView& binding,
+    const AcceleratorConfig* hw);
+
+/// One phase's share of the PE array and of the GB port bandwidths.
+struct PhaseSplit {
+  std::size_t pes = 0;
+  std::size_t bw_dist = 0;
+  std::size_t bw_red = 0;
+};
+
+/// A bound pipeline's composed cost.
+struct PipelineCost {
+  std::uint64_t cycles = 0;
+  TrafficCounters traffic;
+  EnergyBreakdown energy;
+};
+
+/// The lowering of one bound pipeline on one substrate and workload. Every
+/// member assumes a spec that passes pipeline_violation with the substrate.
+struct PipelineLowering {
+  const AcceleratorConfig& hw;
+  const EnergyModel& em;
+  const CSRGraph* graph = nullptr;  // the workload adjacency
+  const WorkloadContext* context = nullptr;  // bound to `graph`, or null
+  std::size_t rows = 0;  // V: the row extent of every intermediate
+  /// Whether an SP-Generic boundary gets its chunk grid (with the
+  /// granularity and Pel it implies), which its phases' configs then
+  /// stage; a PP boundary always does. Omega::run_pipeline sets it, because
+  /// schedule traces render the SP-Generic chunk slices from the phases'
+  /// timelines and results report Pel. The eval plan does not: the
+  /// composition reads chunk timelines at PP boundaries alone, neither
+  /// engine's cycles nor its traffic depends on the grid, and an
+  /// SP-Generic Pel feeds no energy term. So an SP-Generic phase resolves
+  /// to the term of its grid-free twin (the same phase next to an unspilled
+  /// Seq boundary), built once and holding no timeline.
+  bool stage_sp_generic = true;
+
+  /// Table III for the boundary between a producer and a consumer whose
+  /// intermediate has `cols` columns: the chunk grid, granularity and Pel
+  /// of a staged boundary, the buffered elements (saturating like Pel),
+  /// and the Seq spill decision.
+  [[nodiscard]] BoundaryOutcome boundary(InterPhase inter,
+                                         PhaseEngine prod_engine,
+                                         const IntraPhaseDataflow& prod,
+                                         PhaseEngine cons_engine,
+                                         const IntraPhaseDataflow& cons,
+                                         std::size_t cols) const;
+
+  /// Phase `i`'s split: the whole array, or its side of the PP pair at
+  /// an adjacent boundary, with the GB ports shared in proportion
+  /// (Section V-C3). The rule set caps a phase at one chunked boundary, so
+  /// PP groups are exactly pairs.
+  [[nodiscard]] PhaseSplit split(std::span<const InterPhase> boundaries,
+                                 std::span<const double> pe_fractions,
+                                 std::size_t i) const;
+
+  /// The engine config of a phase with PE share `share` between boundary
+  /// plans `up` and `down` (null at the ends of the chain). `Config` is
+  /// GemmPhaseConfig for a dense phase and SpmmPhaseConfig otherwise; a
+  /// sparse-weight phase's describes the transposed problem on W^T, whose
+  /// pattern the caller binds as `graph` (see PhaseEngine).
+  template <typename Config>
+  [[nodiscard]] Config phase(PhaseEngine engine, const IntraPhaseDataflow& df,
+                             std::size_t in_w, std::size_t out_w,
+                             const BoundaryOutcome* up,
+                             const BoundaryOutcome* down,
+                             const PhaseSplit& share) const;
+
+  /// Cycles, traffic and energy from the boundary plans and the resolved
+  /// phases: `result(i)` is phase i's PhaseResult and `pp_cycles(b)` the
+  /// composed cycles of the PP pair at boundary b (the consumer starts
+  /// chunk i once the producer completed it). Every other phase
+  /// serializes, so the makespan is the saturating sum over segments; the
+  /// summed traffic is priced with the largest PP partition.
+  template <typename ResultAt, typename PpCycles>
+  [[nodiscard]] PipelineCost compose(
+      std::span<const BoundaryOutcome> boundaries, const ResultAt& result,
+      const PpCycles& pp_cycles) const {
+    const std::size_t n = boundaries.size() + 1;
+    PipelineCost cost;
+    std::size_t partition_bytes = 0;
+    for (std::size_t i = 0; i < n;) {
+      if (i + 1 < n && boundaries[i].inter == InterPhase::kParallelPipeline) {
+        cost.cycles = sat_add_u64(cost.cycles, pp_cycles(i));
+        partition_bytes = std::max<std::size_t>(
+            partition_bytes,
+            sat_mul_u64(boundaries[i].buffer_elements, hw.element_bytes));
+        i += 2;
+      } else {
+        cost.cycles = sat_add_u64(cost.cycles, result(i).cycles);
+        i += 1;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) cost.traffic += result(i).traffic;
+    cost.energy = compute_energy(cost.traffic, em, partition_bytes);
+    return cost;
+  }
+};
+
 /// Lowers the classic two-phase descriptor into a PipelineSpec (phases in
 /// execution order per df.phase_order). When `num_pes` > 0 the PP PE split
 /// is resolved against that array size so the generalized allocator
@@ -265,16 +434,6 @@ struct PipelineResult {
                                             double weight_density,
                                             std::size_t index);
 
-/// Prices a traffic profile through the energy model: per-category GB
-/// accesses, RF, DRAM, and the PP intermediate-partition buffer (sized
-/// `partition_bytes`; 0 when no boundary buffers). This is the single
-/// energy-accounting function behind Omega::run, run_pipeline, and the
-/// delta-evaluation core (engine/eval_core.hpp) — their parity contract
-/// requires pricing summed traffic identically.
-[[nodiscard]] EnergyBreakdown compute_energy(const TrafficCounters& traffic,
-                                             const EnergyModel& em,
-                                             std::size_t partition_bytes);
-
 /// Synthetic CSR pattern of W^T for a sparse-weight phase: `out_features`
 /// rows, each holding max(1, round(density * in_features)) evenly spaced
 /// column ids in [0, in_features). Deterministic — the cost model only
@@ -289,12 +448,5 @@ struct PipelineResult {
 /// bounds (DSE pruning) need without materializing the CSR.
 [[nodiscard]] std::size_t sparse_weight_nnz_per_row(std::size_t in_features,
                                                     double density);
-
-/// Engine-facing chunk grid for the transposed sparse-weight problem: Out^T
-/// swaps rows/columns, and flipping the traversal major keeps the FLATTENED
-/// chunk order identical, which is what lets a transposed producer timeline
-/// compose index-by-index with an untransposed consumer. Shared with the
-/// DSE eval core, whose boundary plans must mirror run_pipeline exactly.
-[[nodiscard]] ChunkSpec transpose_chunks(const ChunkSpec& chunks);
 
 }  // namespace omega

@@ -1,12 +1,14 @@
 // Taxonomy unit tests: loop orders, descriptor parsing, the Table II
 // pipeline-feasibility rules, SP-Optimized constraints and the Table III
-// buffering formulas.
+// buffering formulas (through Omega::run's boundary plan).
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
 
 #include "dataflow/descriptor.hpp"
 #include "dataflow/patterns.hpp"
+#include "graph/generators.hpp"
+#include "omega/omega.hpp"
 
 namespace omega {
 namespace {
@@ -230,38 +232,54 @@ TEST(SpOptimizedTest, CaTemplates) {
 
 // ---- Table III buffering formulas ----------------------------------------
 
+// Table III sizes as the one boundary plan (omega/pipeline.hpp) derives
+// them, read off Omega::run for an AC layer whose V x F intermediate has
+// `v` rows and `f` columns. 4096 PEs fit the widest tiling below on either
+// side of a PP split.
+RunResult run_table3(const DataflowDescriptor& df, std::size_t v,
+                     std::size_t f) {
+  GnnWorkload w;
+  w.name = "table3";
+  w.adjacency = cycle_graph(v);
+  w.in_features = f;
+  return Omega(scaled_accelerator(4096)).run(w, LayerSpec{}, df);
+}
+
 TEST(BufferingTest, Table3Formulas) {
   const std::size_t v = 128, f = 64;
 
   auto seq = DataflowDescriptor::parse("Seq_AC(VsFsNt, VsGsFt)");
-  EXPECT_EQ(seq.intermediate_buffer_elements(v, f), v * f);
+  EXPECT_EQ(run_table3(seq, v, f).intermediate_buffer_elements, v * f);
 
   auto spg = DataflowDescriptor::parse("SPg_AC(VsFsNt, VsFtGs)");
   spg.agg.tiles = {.v = 8, .n = 1, .f = 16, .g = 1};
   spg.cmb.tiles = {.v = 4, .n = 1, .f = 1, .g = 4};
   // (VFN, VFG) is element granularity: Pel = T_Vmax * T_Fmax = 8 * 16.
   EXPECT_EQ(spg.granularity(), Granularity::kElement);
-  EXPECT_EQ(spg.pipeline_elements(v, f), 8u * 16u);
-  EXPECT_EQ(spg.intermediate_buffer_elements(v, f), 8u * 16u);
+  const RunResult spg_run = run_table3(spg, v, f);
+  EXPECT_EQ(spg_run.pipeline_elements, 8u * 16u);
+  EXPECT_EQ(spg_run.intermediate_buffer_elements, 8u * 16u);
 
   auto spo = DataflowDescriptor::parse("SP_AC(VsFsNt, VsFsGt)");
-  EXPECT_EQ(spo.intermediate_buffer_elements(v, f), 0u);
+  EXPECT_EQ(run_table3(spo, v, f).intermediate_buffer_elements, 0u);
 
   // PP row granularity: (VFN, VGF) -> 2 * T_Vmax * F.
   auto ppr = DataflowDescriptor::parse("PP_AC(VsFsNt, VsGsFt)");
   ppr.agg.tiles = {.v = 8, .n = 1, .f = 16, .g = 1};
   ppr.cmb.tiles = {.v = 16, .n = 1, .f = 1, .g = 8};
   EXPECT_EQ(ppr.granularity(), Granularity::kRow);
-  EXPECT_EQ(ppr.pipeline_elements(v, f), 16u * f);
-  EXPECT_EQ(ppr.intermediate_buffer_elements(v, f), 2u * 16u * f);
+  const RunResult ppr_run = run_table3(ppr, v, f);
+  EXPECT_EQ(ppr_run.pipeline_elements, 16u * f);
+  EXPECT_EQ(ppr_run.intermediate_buffer_elements, 2u * 16u * f);
 
   // PP column granularity: (FNV, FGV) -> 2 * V * T_Fmax.
   auto ppc = DataflowDescriptor::parse("PP_AC(FsNtVs, FsGsVt)");
   ppc.agg.tiles = {.v = 4, .n = 1, .f = 8, .g = 1};
   ppc.cmb.tiles = {.v = 1, .n = 1, .f = 32, .g = 4};
   EXPECT_EQ(ppc.granularity(), Granularity::kColumn);
-  EXPECT_EQ(ppc.pipeline_elements(v, f), v * 32u);
-  EXPECT_EQ(ppc.intermediate_buffer_elements(v, f), 2u * v * 32u);
+  const RunResult ppc_run = run_table3(ppc, v, f);
+  EXPECT_EQ(ppc_run.pipeline_elements, v * 32u);
+  EXPECT_EQ(ppc_run.intermediate_buffer_elements, 2u * v * 32u);
 }
 
 TEST(BufferingTest, PelClampsToExtents) {
@@ -269,7 +287,7 @@ TEST(BufferingTest, PelClampsToExtents) {
   ppr.agg.tiles = {.v = 512, .n = 1, .f = 2, .g = 1};
   ppr.cmb.tiles = {.v = 512, .n = 1, .f = 1, .g = 1};
   // Tiny intermediate: Pel cannot exceed it.
-  EXPECT_EQ(ppr.pipeline_elements(16, 4), 16u * 4u);
+  EXPECT_EQ(run_table3(ppr, 16, 4).pipeline_elements, 16u * 4u);
 }
 
 // ---- Hardware requirements (Table II support column) ---------------------

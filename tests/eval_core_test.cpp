@@ -9,9 +9,11 @@
 //  * two-phase descriptors, lowered with lower_two_phase_candidate onto the
 //    AC or CA chain exactly as search_mappings lowers them, against
 //    Omega::run;
-//  * 3-phase GAT-style bindings (gemm -> spmm -> spgemm) against
-//    Omega::run_pipeline, plus 3-phase bindings built around one
-//    SP-Optimized boundary (gemm -> spmm and spmm -> gemm handoffs).
+//  * 3-phase GAT-style bindings (gemm -> spmm -> spgemm) and spgemm ->
+//    spmm -> gemm bindings (a sparse-weight producer on a chunked
+//    boundary) against Omega::run_pipeline, plus 3-phase bindings built
+//    around one SP-Optimized boundary (gemm -> spmm and spmm -> gemm
+//    handoffs).
 // Each population is evaluated twice, a cold pass then a warm one, reusing
 // one state per chain throughout, so stale slots from an earlier candidate
 // can never leak
@@ -313,19 +315,16 @@ PipelineCandidate mutate_one_binding_field(PipelineCandidate c,
   return c;
 }
 
-TEST(EvalCoreFuzz, PipelineBindingMutationsMatchRunPipeline) {
-  const GnnWorkload w = fuzz_workload();
-  // A 4 KiB global buffer makes Seq intermediates spill to DRAM, a path the
-  // 128-vertex workload never reaches on the default 4 MiB buffer.
-  AcceleratorConfig hw = small_hw();
-  hw.gb_bytes = 4096;
-  const Omega omega(hw);
-  const WorkloadContext context(w.adjacency);
-  const PipelineChainSpec chain = gat_chain();
-
-  // Base bindings: the feasible part of a deterministic stride subsample of
-  // the chain's population (all of it is ~2M bindings), evaluated by the
-  // scalar oracle so the base set never depends on the plan under test.
+/// The binding-mutation fuzz of one chain: 4200 base bindings and
+/// single-field mutants, evaluated through the chain's plan in a cold and a
+/// warm pass against Omega::run_pipeline. The bases are the feasible part of
+/// a deterministic stride subsample of the chain's population (~2M bindings
+/// for the chains here), evaluated by the scalar oracle so the base set
+/// never depends on the plan under test. Returns the candidates the oracle
+/// found feasible.
+std::vector<PipelineCandidate> fuzz_binding_mutations(
+    const Omega& omega, const GnnWorkload& w, const WorkloadContext& context,
+    const PipelineChainSpec& chain, std::uint32_t seed) {
   PipelineSearchOptions gen;
   gen.max_candidates = 1024;
   gen.top_k = 1024;
@@ -335,14 +334,15 @@ TEST(EvalCoreFuzz, PipelineBindingMutationsMatchRunPipeline) {
        search_pipeline_mappings(omega, w, chain, gen, &context).ranked) {
     base.push_back(rc.candidate);
   }
-  ASSERT_GT(base.size(), 100u);
+  EXPECT_GT(base.size(), 100u);
+  if (base.empty()) return {};
   const std::array<std::shared_ptr<const PipelineEvalPlan>, 1> plans = {
       PipelineEvalPlan::obtain(omega, w, chain, context)};
 
-  std::mt19937 rng(20240807);
+  std::mt19937 rng(seed);
   std::vector<PipelineCandidate> cands;
   std::vector<EvalOutcome> expected;
-  std::size_t feasible = 0;
+  std::vector<PipelineCandidate> feasible;
   std::size_t infeasible = 0;
   while (cands.size() < 4200) {
     const PipelineCandidate& b =
@@ -351,20 +351,62 @@ TEST(EvalCoreFuzz, PipelineBindingMutationsMatchRunPipeline) {
     const PipelineCandidate m = mutate_one_binding_field(b, rng);
     for (const PipelineCandidate* c : {&b, &m}) {
       const EvalOutcome want = pipeline_oracle(omega, w, chain, *c, context);
-      ++(want.ok ? feasible : infeasible);
+      if (want.ok) {
+        feasible.push_back(*c);
+      } else {
+        ++infeasible;
+      }
       cands.push_back(*c);
       expected.push_back(want);
     }
   }
-  EXPECT_GT(feasible, 100u);
+  EXPECT_GT(feasible.size(), 100u);
   EXPECT_GT(infeasible, 100u);
 
   const std::uint64_t oracle_requests = context.eval_stats().term_requests;
   for (const char* pass : {"cold", "warm"}) {
     (void)expect_plans_match(plans, cands, expected, pass);
-    ASSERT_FALSE(HasFailure());
+    if (::testing::Test::HasFailure()) return feasible;
   }
   EXPECT_GT(context.eval_stats().term_requests, oracle_requests);
+  return feasible;
+}
+
+TEST(EvalCoreFuzz, PipelineBindingMutationsMatchRunPipeline) {
+  const GnnWorkload w = fuzz_workload();
+  // A 4 KiB global buffer makes Seq intermediates spill to DRAM, a path the
+  // 128-vertex workload never reaches on the default 4 MiB buffer.
+  AcceleratorConfig hw = small_hw();
+  hw.gb_bytes = 4096;
+  const Omega omega(hw);
+  const WorkloadContext context(w.adjacency);
+  (void)fuzz_binding_mutations(omega, w, context, gat_chain(), 20240807);
+  ASSERT_FALSE(HasFailure());
+
+  // The GAT chain ends in its sparse-weight phase, so no sparse-weight
+  // phase there produces into a chunked boundary. Leading with one checks
+  // the lowering of its transposed chunk grid on PP and SP-Generic
+  // boundaries.
+  PipelineChainSpec spgemm_first;
+  spgemm_first.phases = {{.name = "xform",
+                          .engine = PhaseEngine::kSparseSparse,
+                          .out_features = 8,
+                          .weight_density = 0.5},
+                         {.name = "agg", .engine = PhaseEngine::kSparseDense},
+                         {.name = "cmb",
+                          .engine = PhaseEngine::kDenseDense,
+                          .out_features = 16}};
+  std::size_t chunked = 0;
+  std::size_t pp = 0;
+  for (const PipelineCandidate& c : fuzz_binding_mutations(
+           omega, w, context, spgemm_first, 20241022)) {
+    chunked += c.boundaries[0] == InterPhase::kParallelPipeline ||
+               c.boundaries[0] == InterPhase::kSPGeneric;
+    pp += c.boundaries[0] == InterPhase::kParallelPipeline;
+  }
+  // 1,202 and 741 on this seed.
+  EXPECT_GE(chunked, 1000u);
+  EXPECT_GE(pp, 600u);
 }
 
 /// Feasible bindings of `chain` with one SP-Optimized boundary each, built

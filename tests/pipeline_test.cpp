@@ -11,6 +11,7 @@
 #include <limits>
 
 #include "dse/search.hpp"
+#include "engine/eval_core.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "omega/pipeline.hpp"
@@ -561,6 +562,80 @@ TEST(TwoPhaseAdapterTest, SpecShapeFollowsPhaseOrder) {
   EXPECT_EQ(sca.phases[0].engine, PhaseEngine::kDenseDense);
   EXPECT_EQ(sca.phases[1].engine, PhaseEngine::kSparseDense);
   EXPECT_FALSE(sca.validation_error().has_value());
+}
+
+// The Table III sizes saturate in the one boundary plan (DESIGN.md
+// "Overflow contract"): once a size product passes 2^64 it reads UINT64_MAX
+// instead of wrapping to a small number, a PP partition that large is
+// priced at the GB rate, and the eval plan still agrees with run_pipeline.
+TEST(OverflowTest, BoundaryPlanSizesSaturate) {
+  Rng rng(29);
+  GnnWorkload w;
+  w.name = "rmat";
+  w.adjacency = rmat(7, 800, rng).with_self_loops().gcn_normalized();
+  w.in_features = 24;
+  const Omega omega(small_hw());
+  const WorkloadContext context(w.adjacency);
+  const EnergyModel& em = omega.energy_model();
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const auto expect_plan_matches = [&](const PipelineSpec& spec,
+                                       const PipelineResult& r) {
+    const PipelineChainSpec chain = PipelineChainSpec::of(spec);
+    std::vector<IntraPhaseDataflow> dfs;
+    for (const PhaseSpec& p : spec.phases) dfs.push_back(p.dataflow);
+    PipelineDeltaState state;
+    const EvalOutcome o =
+        PipelineEvalPlan::obtain(omega, w, chain, context)
+            ->evaluate({dfs, spec.boundaries, spec.pe_fractions}, state);
+    ASSERT_TRUE(o.ok);
+    EXPECT_EQ(o.cycles, r.cycles);
+    EXPECT_EQ(o.on_chip_pj, r.energy.on_chip_pj());
+  };
+
+  // agg(VNF, T_V = T_F = 4) ->PP-> agg2(NVF) hands off whole rows, so
+  // Pel = T_Vmax * F = 4 * 2^62 = 2^64.
+  PipelineSpec pp;
+  pp.in_features = std::size_t{1} << 62;
+  pp.phases.resize(2);
+  pp.phases[0].name = "agg";
+  pp.phases[1].name = "agg2";
+  for (PhaseSpec& p : pp.phases) {
+    p.engine = PhaseEngine::kSparseDense;
+    p.dataflow.phase = GnnPhase::kAggregation;
+  }
+  pp.phases[0].dataflow.order = LoopOrder(Dim::kV, Dim::kN, Dim::kF);
+  pp.phases[0].dataflow.tiles = {.v = 4, .n = 1, .f = 4, .g = 1};
+  pp.phases[1].dataflow.order = LoopOrder(Dim::kN, Dim::kV, Dim::kF);
+  pp.boundaries = {InterPhase::kParallelPipeline};
+  const PipelineResult rp = omega.run_pipeline(w, pp, &context);
+  const BoundaryOutcome& bp = rp.boundaries[0];
+  EXPECT_EQ(bp.granularity, Granularity::kRow);
+  EXPECT_EQ(bp.pipeline_elements, kMax);
+  EXPECT_EQ(bp.buffer_elements, kMax);
+  const std::uint64_t partition_accesses =
+      rp.traffic.intermediate_partition.total();
+  ASSERT_GT(partition_accesses, 0u);
+  EXPECT_EQ(rp.energy.partition_pj,
+            static_cast<double>(partition_accesses) * em.gb_access_pj);
+  expect_plan_matches(pp, rp);
+
+  // A Seq gemm producer with G = 2^60 buffers V * G = 2^67 elements, and
+  // the intermediate spills.
+  PipelineSpec seq;
+  seq.phases.resize(2);
+  seq.phases[0].name = "score";
+  seq.phases[0].engine = PhaseEngine::kDenseDense;
+  seq.phases[0].dataflow.phase = GnnPhase::kCombination;
+  seq.phases[0].dataflow.order = LoopOrder(Dim::kV, Dim::kG, Dim::kF);
+  seq.phases[0].out_features = std::size_t{1} << 60;
+  seq.phases[1].name = "agg";
+  seq.phases[1].engine = PhaseEngine::kSparseDense;
+  seq.phases[1].dataflow.order = LoopOrder(Dim::kV, Dim::kF, Dim::kN);
+  seq.boundaries = {InterPhase::kSequential};
+  const PipelineResult rs = omega.run_pipeline(w, seq, &context);
+  EXPECT_EQ(rs.boundaries[0].buffer_elements, kMax);
+  EXPECT_TRUE(rs.boundaries[0].spilled);
+  expect_plan_matches(seq, rs);
 }
 
 }  // namespace
