@@ -10,8 +10,9 @@
 // eval core every search drives (candidates lowered onto the AC/CA chains,
 // PipelineEvalPlan::evaluate per candidate, one state per block and chain),
 // reporting candidates/sec for each, then times the same capped
-// search_mappings warm through its own enumerate/evaluate/rank stage spans,
-// and writes BENCH_dse.json. A work gate with no wall clock fails the run
+// search_mappings cold (each timed repeat on a fresh WorkloadContext) and
+// warm (through its own enumerate/evaluate/rank stage spans), and writes
+// BENCH_dse.json. A work gate with no wall clock fails the run
 // if a warm repeat search runs a PP recurrence, or a phase simulation while
 // the term store refused nothing.
 //
@@ -225,6 +226,45 @@ SearchTiming time_warm_search(const Omega& omega, const GnnWorkload& w,
   return t;
 }
 
+/// The same capped search_mappings cold: one untimed warmup, then `repeat`
+/// timed searches, each on its own fresh WorkloadContext, so every one
+/// builds its whole term store (the sweep a mapper runs on a layer it has
+/// not seen). Times are the median, p99 and quickest over the repeats.
+struct ColdSearchTiming {
+  bench::RepeatSummary wall_ms;
+  std::uint64_t term_builds = 0;  // of one cold search
+};
+
+ColdSearchTiming time_cold_search(const Omega& omega, const GnnWorkload& w,
+                                  const LayerSpec& layer, std::size_t cap,
+                                  std::size_t repeat) {
+  SearchOptions opt;
+  opt.include_ca = true;
+  opt.max_candidates = cap;
+  const auto cold_search = [&] {
+    const WorkloadContext fresh(w.adjacency);
+    const auto t0 = std::chrono::steady_clock::now();
+    SearchResult result = search_mappings(omega, w, layer, opt, &fresh);
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::pair<SearchResult, double>(
+        std::move(result),
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+  };
+  const std::size_t evaluated = cold_search().first.evaluated;
+  ColdSearchTiming t;
+  std::vector<double> wall;
+  for (std::size_t r = 0; r < std::max<std::size_t>(repeat, 1); ++r) {
+    const auto [result, ms] = cold_search();
+    if (result.evaluated != evaluated) {
+      throw Error("cold search repeat diverged from its warmup");
+    }
+    if (r == 0) t.term_builds = result.eval.term_builds;
+    wall.push_back(ms);
+  }
+  t.wall_ms = bench::summarize_samples(wall);
+  return t;
+}
+
 int run_dse_sweep(std::size_t repeat) {
   const std::size_t scale = env_or("OMEGA_DSE_SCALE", 16);
   const std::size_t edge_budget = env_or("OMEGA_DSE_EDGES", 524288);
@@ -292,6 +332,10 @@ int run_dse_sweep(std::size_t repeat) {
                           }
                         });
       });
+
+  // Cold searches first, while no other term store is resident.
+  const ColdSearchTiming cold =
+      time_cold_search(omega, w, layer, max_candidates, repeat);
 
   // Scalar through the reuse layer: one context shared by the whole sweep
   // (the pre-eval-core hot path, kept as the oracle).
@@ -390,7 +434,12 @@ int run_dse_sweep(std::size_t repeat) {
             << " ms warm search_mappings (" << search.evaluated
             << " evaluated; enumerate " << fixed(search.enumerate_ms, 2)
             << " ms, evaluate " << fixed(search.evaluate_ms, 2)
-            << " ms, rank " << fixed(search.rank_ms, 2) << " ms median)\n";
+            << " ms, rank " << fixed(search.rank_ms, 2) << " ms median)\n"
+            << "          " << fixed(cold.wall_ms.median, 2)
+            << " ms cold search_mappings (" << fixed(cold.wall_ms.p99, 2)
+            << " ms p99, " << fixed(cold.wall_ms.min, 2)
+            << " ms quickest over " << std::max<std::size_t>(repeat, 1)
+            << " fresh contexts; " << cold.term_builds << " term builds)\n";
   const ContextEvalStats eval = context.eval_stats();
   std::cout << "  (" << eval.terms << " terms ("
             << eval.term_bytes / (1024 * 1024)
@@ -465,6 +514,12 @@ int run_dse_sweep(std::size_t repeat) {
     jw.member("enumerate", search.enumerate_ms);
     jw.member("evaluate", search.evaluate_ms);
     jw.member("rank", search.rank_ms);
+    jw.end_object();
+    jw.key("search_cold_ms").begin_object();
+    jw.member("median", cold.wall_ms.median);
+    jw.member("p99", cold.wall_ms.p99);
+    jw.member("min", cold.wall_ms.min);
+    jw.member("term_builds", cold.term_builds);
     jw.end_object();
     jw.key("search_warm_work").begin_object();
     jw.member("term_builds", search.term_builds);
@@ -864,8 +919,9 @@ int run_pipeline_study() {
 /// dse/pipeline_search.hpp — and the scalar and batched evaluation paths
 /// must produce bit-identical ranked + Pareto sets. Both checks run again
 /// on a chain that leads with the sparse-weight phase (spgemm -> spmm ->
-/// gemm). Throughput of the two paths and the pruning win on the GAT chain
-/// are reported and written to BENCH_pipeline_dse.json. Knobs: OMEGA_PDSE_SCALE_PCT (Cora scale in
+/// gemm). Throughput of the two paths and the pruning win on the GAT chain,
+/// each timed cold on its own fresh context, are reported and written to
+/// BENCH_pipeline_dse.json. Knobs: OMEGA_PDSE_SCALE_PCT (Cora scale in
 /// percent, default 25), OMEGA_PDSE_CANDIDATES (cap, default 512),
 /// OMEGA_PDSE_JSON (output path).
 int run_pipeline_dse_sweep() {
@@ -896,12 +952,13 @@ int run_pipeline_dse_sweep() {
   PipelineSearchOptions base;
   base.objective = Objective::kEnergyDelayProduct;
   base.max_candidates = cap;
-  const WorkloadContext context(w.adjacency);
-
+  // Each timed path searches on its own fresh context, so all three are
+  // cold passes over the same work.
   const auto timed = [&](const PipelineSearchOptions& o) {
+    const WorkloadContext fresh(w.adjacency);
     const auto t0 = std::chrono::steady_clock::now();
     PipelineSearchResult r = search_pipeline_mappings(omega, w, chain, o,
-                                                      &context);
+                                                      &fresh);
     const auto t1 = std::chrono::steady_clock::now();
     return std::pair<PipelineSearchResult, double>(
         std::move(r), std::chrono::duration<double>(t1 - t0).count());
@@ -912,6 +969,9 @@ int run_pipeline_dse_sweep() {
   PipelineSearchOptions pruned_opt = base;
   pruned_opt.prune = true;
 
+  // One untimed pass first, so the graph's cached transpose and the pool's
+  // first wake-up land on no timed path.
+  timed(base);
   const auto [batched, batched_s] = timed(base);
   const auto [scalar, scalar_s] = timed(scalar_opt);
   const auto [pruned, pruned_s] = timed(pruned_opt);
@@ -963,6 +1023,7 @@ int run_pipeline_dse_sweep() {
                          {.name = "cmb",
                           .engine = PhaseEngine::kDenseDense,
                           .out_features = 16}};
+  const WorkloadContext context(w.adjacency);
   const PipelineSearchResult sf_batched =
       search_pipeline_mappings(omega, w, spgemm_first, base, &context);
   const bool sf_path_parity = same_sets(

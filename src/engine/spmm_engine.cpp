@@ -11,8 +11,9 @@ namespace omega {
 
 namespace {
 
-/// Splits `total_cycles` across `chunks` so that partial sums follow the
-/// cumulative step profile `cum_steps` (monotone, last == critical path).
+/// Splits `total_cycles` across the row blocks of a row-major grid so that
+/// partial sums follow the cumulative step profile `cum_steps` (monotone,
+/// last == critical path).
 /// Exact integer proportioning (128-bit multiply, then divide): chunk
 /// timelines are bit-identical across platforms and never drop cycles to
 /// floating-point rounding; the final chunk absorbs the division remainder.
@@ -225,38 +226,70 @@ PhaseResult run_spmm_phase(const SpmmPhaseConfig& cfg) {
 
   // ---- Chunk timeline ------------------------------------------------------
 
-  auto finish = [&]() -> PhaseResult {
-    // Lane traversal produces chunks in grid order: completions are the
-    // prefix sums of the per-chunk durations.
-    r.chunk_completion.resize(r.chunk_cycles.size());
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < r.chunk_cycles.size(); ++i) {
-      cum += r.chunk_cycles[i];
-      r.chunk_completion[i] = cum;
-    }
-    return r;
-  };
-
+  // Lane traversal produces chunks in grid order, so each chunk's
+  // completion is the prefix sum of the durations; both timelines are
+  // written in the one pass that produces the durations.
   const std::size_t num_chunks =
       cfg.chunk_target == ChunkTarget::kNone ? 1 : cfg.chunks.num_chunks();
   if (num_chunks <= 1) {
     r.chunk_cycles.assign(1, r.cycles);
-    return finish();
+    r.chunk_completion.assign(1, r.cycles);
+    return r;
   }
+  r.chunk_cycles.resize(num_chunks);
+  r.chunk_completion.resize(num_chunks);
 
   const std::size_t row_blocks = cfg.chunks.row_blocks();
   const std::size_t col_blocks = cfg.chunks.col_blocks();
   if (cfg.chunks.major == TraversalMajor::kColumnMajor || row_blocks == 1) {
-    // Column-granular (or single row block): each of the num_chunks passes
-    // covers the same rows; durations are uniform. The 128-bit product
-    // keeps the quotient (<= critical_path) exact for any critical path.
-    std::vector<std::uint64_t> cum(num_chunks);
-    for (std::size_t i = 0; i < num_chunks; ++i) {
-      cum[i] = static_cast<std::uint64_t>(
-          static_cast<unsigned __int128>(critical_path) * (i + 1) / num_chunks);
+    // Column-granular (or single row block): each of the n passes covers
+    // the same rows, so chunk i ends at step s_i = floor(cp * (i+1) / n)
+    // of the critical path cp and at cycle done_i = floor(s_i * T / cp)
+    // of the total T (DESIGN.md "Chunk-grid contract").
+    const std::uint64_t total = r.cycles;
+    const std::uint64_t cp = critical_path;
+    if (cp == 0) {
+      // Nothing to proportion against: the first chunk carries it all.
+      r.chunk_cycles[0] = total;
+      std::fill(r.chunk_completion.begin(), r.chunk_completion.end(), total);
+      return r;
     }
-    r.chunk_cycles = scale_chunks(cum, critical_path, r.cycles);
-    return finish();
+    // Both floors are stepped exactly by quotient and remainder. s_i grows
+    // by q0 = cp / n, plus one whenever the step remainder
+    // (cp * (i+1) mod n) wraps. Each of the two increments q0 + w
+    // (w = 0, 1; q0 + 1 <= cp since n >= 2) splits once against T as
+    // (q0 + w) * T = quot[w] * cp + (cp - rem_gap[w]), and done_i grows by
+    // quot[w], plus one whenever the cycle remainder (s_i * T mod cp)
+    // wraps. Both remainders stay below their moduli, and each wrap test
+    // compares against the gap to the modulus, so no sum can overflow. The
+    // last chunk lands on s = cp and done = T exactly.
+    const std::uint64_t n = num_chunks;
+    const std::uint64_t q0 = cp / n;
+    const std::uint64_t step_gap = n - cp % n;  // wrap when step_rem >= gap
+    std::uint64_t quot[2];
+    std::uint64_t rem_gap[2];
+    for (std::uint64_t w = 0; w < 2; ++w) {
+      const unsigned __int128 dt =
+          static_cast<unsigned __int128>(q0 + w) * total;
+      quot[w] = static_cast<std::uint64_t>(dt / cp);
+      rem_gap[w] = cp - static_cast<std::uint64_t>(dt % cp);
+    }
+    std::uint64_t step_rem = 0;   // cp * (i+1) mod n
+    std::uint64_t cycle_rem = 0;  // s_i * T mod cp
+    std::uint64_t done = 0;
+    for (std::size_t i = 0; i < num_chunks; ++i) {
+      const bool wide = step_rem >= step_gap;
+      step_rem = wide ? step_rem - step_gap : step_rem + (n - step_gap);
+      const std::uint64_t gap = rem_gap[wide];
+      const bool carry = cycle_rem >= gap;
+      // omega-lint: allow(raw-arith): remainder step mod cp, stays below cp
+      cycle_rem = carry ? cycle_rem - gap : cycle_rem + (cp - gap);
+      const std::uint64_t dur = quot[wide] + (carry ? 1 : 0);
+      done += dur;
+      r.chunk_cycles[i] = dur;
+      r.chunk_completion[i] = done;
+    }
+    return r;
   }
 
   // Row-major chunks: completion of a row block is the slowest lane's
@@ -280,15 +313,18 @@ PhaseResult run_spmm_phase(const SpmmPhaseConfig& cfg) {
   // Split each row block's cycles evenly over its column chunks: the first
   // col_blocks - r chunks get q, the rest q + 1 (q, r = divmod), which is
   // exactly the successive floor(rem / remaining) distribution.
-  r.chunk_cycles.assign(num_chunks, 0);
+  std::uint64_t done = 0;
   for (std::size_t b = 0; b < row_blocks; ++b) {
     const std::uint64_t q = block_cycles[b] / col_blocks;
     const std::size_t rmd = static_cast<std::size_t>(block_cycles[b] % col_blocks);
     for (std::size_t c = 0; c < col_blocks; ++c) {
-      r.chunk_cycles[b * col_blocks + c] = q + (c >= col_blocks - rmd ? 1 : 0);
+      const std::uint64_t dur = q + (c >= col_blocks - rmd ? 1 : 0);
+      done += dur;
+      r.chunk_cycles[b * col_blocks + c] = dur;
+      r.chunk_completion[b * col_blocks + c] = done;
     }
   }
-  return finish();
+  return r;
 }
 
 }  // namespace omega

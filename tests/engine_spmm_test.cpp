@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
+#include "engine/schedule_cache.hpp"
 #include "engine/spmm_engine.hpp"
 #include "graph/generators.hpp"
 #include "omega/omega.hpp"
+#include "util/saturate.hpp"
 
 namespace omega {
 namespace {
@@ -228,7 +232,9 @@ TEST(SpmmEngineTest, VeryWideFeaturesSaturateInsteadOfWrapping) {
     const auto r = run_spmm_phase(cfg);
     EXPECT_GE(r.cycles, prev);
     prev = r.cycles;
-    if (log2_feat >= 58) EXPECT_EQ(r.cycles, kMax);
+    if (log2_feat >= 58) {
+      EXPECT_EQ(r.cycles, kMax);
+    }
     ASSERT_EQ(r.chunk_cycles.size(), 4u);
     ASSERT_EQ(r.chunk_completion.size(), 4u);
     EXPECT_TRUE(std::is_sorted(r.chunk_completion.begin(),
@@ -240,6 +246,250 @@ TEST(SpmmEngineTest, VeryWideFeaturesSaturateInsteadOfWrapping) {
                 kMax);
     }
   }
+}
+
+// ---- Chunk timelines against the two-vector reference ----------------------
+
+/// Reference chunk timeline, in its direct form: a cumulative step profile
+/// per chunk (uniform passes: floor(cp * (i+1) / n); row-major: the lane
+/// schedule's prefix max per row block), proportioned onto the total cycles
+/// by one 128-bit division per entry into a second vector, an even split of
+/// each row block over its column chunks, then a prefix-sum pass for the
+/// completions. The engine steps the same floors in one pass and must match
+/// this element for element.
+std::vector<std::uint64_t> reference_scale_chunks(
+    const std::vector<std::uint64_t>& cum_steps, std::uint64_t critical_path,
+    std::uint64_t total_cycles) {
+  std::vector<std::uint64_t> out(cum_steps.size(), 0);
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < cum_steps.size(); ++i) {
+    const std::uint64_t cum =
+        critical_path == 0
+            ? total_cycles
+            : static_cast<std::uint64_t>(
+                  static_cast<unsigned __int128>(cum_steps[i]) * total_cycles /
+                  critical_path);
+    const std::uint64_t clamped = std::min(cum, total_cycles);
+    out[i] = clamped - prev;
+    prev = clamped;
+  }
+  if (!out.empty()) out.back() += total_cycles - prev;
+  return out;
+}
+
+struct Timeline {
+  std::vector<std::uint64_t> cycles;
+  std::vector<std::uint64_t> completion;
+};
+
+/// Reference timeline of `cfg`, whose engine result is `r` (only its total
+/// cycles are read; the critical path is rederived from a fresh lane
+/// schedule and checked against r.issue_steps).
+Timeline reference_timeline(const SpmmPhaseConfig& cfg, const PhaseResult& r) {
+  const CSRGraph& g = *cfg.graph;
+  const std::size_t v = g.num_vertices();
+  const bool gather = cfg.order.depth_of(Dim::kV) < cfg.order.depth_of(Dim::kN);
+  const std::size_t lanes = std::min(
+      std::max<std::size_t>(gather ? cfg.tiles.v : cfg.tiles.n, 1),
+      std::max<std::size_t>(v, 1));
+  const std::size_t lane_width =
+      std::max<std::size_t>(gather ? cfg.tiles.n : cfg.tiles.v, 1);
+  const std::size_t tf =
+      std::min(std::max<std::size_t>(cfg.tiles.f, 1), cfg.feat);
+  const std::uint64_t c_f = ceil_div(cfg.feat, tf);
+  const LaneSchedule sched = build_lane_schedule(
+      gather ? g : g.transposed(), lanes, lane_width);
+  const std::uint64_t cp = sat_mul_u64(sched.critical_path, c_f);
+  EXPECT_EQ(cp, r.issue_steps) << "reference rederived another schedule";
+
+  Timeline t;
+  const std::size_t n = cfg.chunk_target == ChunkTarget::kNone
+                            ? 1
+                            : cfg.chunks.num_chunks();
+  if (n <= 1) {
+    t.cycles.assign(1, r.cycles);
+  } else if (cfg.chunks.major == TraversalMajor::kColumnMajor ||
+             cfg.chunks.row_blocks() == 1) {
+    std::vector<std::uint64_t> cum(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      cum[i] = static_cast<std::uint64_t>(
+          static_cast<unsigned __int128>(cp) * (i + 1) / n);
+    }
+    t.cycles = reference_scale_chunks(cum, cp, r.cycles);
+  } else {
+    const std::size_t row_blocks = cfg.chunks.row_blocks();
+    const std::size_t col_blocks = cfg.chunks.col_blocks();
+    const std::size_t row_block =
+        std::min(cfg.chunks.row_block, std::max<std::size_t>(v, 1));
+    std::vector<std::uint64_t> block_cum(row_blocks, 0);
+    for (std::size_t b = 0; b < row_blocks && v > 0; ++b) {
+      const std::size_t last = std::min((b + 1) * row_block, v) - 1;
+      block_cum[b] = sat_mul_u64(
+          sched.row_finish_prefix[b + 1 == row_blocks ? v - 1 : last], c_f);
+    }
+    const std::vector<std::uint64_t> block_cycles =
+        reference_scale_chunks(block_cum, cp, r.cycles);
+    t.cycles.assign(n, 0);
+    for (std::size_t b = 0; b < row_blocks; ++b) {
+      const std::uint64_t q = block_cycles[b] / col_blocks;
+      const std::size_t rmd =
+          static_cast<std::size_t>(block_cycles[b] % col_blocks);
+      for (std::size_t c = 0; c < col_blocks; ++c) {
+        t.cycles[b * col_blocks + c] = q + (c >= col_blocks - rmd ? 1 : 0);
+      }
+    }
+  }
+  t.completion.resize(t.cycles.size());
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < t.cycles.size(); ++i) {
+    cum += t.cycles[i];
+    t.completion[i] = cum;
+  }
+  return t;
+}
+
+/// Runs `cfg` and compares both timelines with the reference element-wise,
+/// reporting the first differing chunk. Returns the engine result.
+PhaseResult expect_reference_timeline(const SpmmPhaseConfig& cfg) {
+  const PhaseResult r = run_spmm_phase(cfg);
+  const Timeline ref = reference_timeline(cfg, r);
+  EXPECT_EQ(r.chunk_cycles.size(), ref.cycles.size());
+  EXPECT_EQ(r.chunk_completion.size(), ref.completion.size());
+  if (r.chunk_cycles.size() != ref.cycles.size() ||
+      r.chunk_completion.size() != ref.completion.size()) {
+    return r;
+  }
+  const auto first_diff = [](const std::vector<std::uint64_t>& a,
+                             const std::vector<std::uint64_t>& b) {
+    return static_cast<std::size_t>(
+        std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin());
+  };
+  const std::size_t dc = first_diff(r.chunk_cycles, ref.cycles);
+  EXPECT_EQ(dc, ref.cycles.size())
+      << "chunk_cycles[" << dc << "] = " << r.chunk_cycles[dc]
+      << ", reference " << ref.cycles[dc] << " (of " << ref.cycles.size()
+      << " chunks, total " << r.cycles << ", critical path "
+      << r.issue_steps << ")";
+  const std::size_t dk = first_diff(r.chunk_completion, ref.completion);
+  EXPECT_EQ(dk, ref.completion.size())
+      << "chunk_completion[" << dk << "] = " << r.chunk_completion[dk]
+      << ", reference " << ref.completion[dk] << " (of "
+      << ref.completion.size() << " chunks)";
+  return r;
+}
+
+/// Chunk grid over the V x F produced intermediate. `col_block == feat` is
+/// row granularity (one column block); anything smaller is element
+/// granularity.
+void set_chunks(SpmmPhaseConfig& cfg, std::size_t row_block,
+                std::size_t col_block, TraversalMajor major) {
+  cfg.chunk_target = ChunkTarget::kMatrixOut;
+  cfg.chunks.rows = cfg.graph->num_vertices();
+  cfg.chunks.cols = cfg.feat;
+  cfg.chunks.row_block = row_block;
+  cfg.chunks.col_block = col_block;
+  cfg.chunks.major = major;
+}
+
+TEST(SpmmEngineTest, ChunkTimelinesMatchReferenceOnRandomGraphs) {
+  constexpr std::array<const char*, 6> kOrders = {"VFN", "VNF", "FVN",
+                                                  "NVF", "NFV", "FNV"};
+  enum class Grid { kColumnMajor, kSingleRowBlock, kRowMajor };
+  Rng rng(2027);
+  std::array<std::size_t, 3> grids_seen = {0, 0, 0};
+  std::size_t element_seen = 0;
+  std::size_t row_seen = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const bool use_rmat = trial % 2 == 1;
+    const std::size_t scale = 4 + rng.next_below(4);  // 16..128 vertices
+    const std::size_t v = std::size_t{1} << scale;
+    const CSRGraph g =
+        use_rmat ? rmat(scale, v * (2 + rng.next_below(8)), rng)
+                 : erdos_renyi(v, v * (1 + rng.next_below(8)), rng);
+    const std::size_t feat = 1 + rng.next_below(96);
+    auto cfg = base_config(
+        g, kOrders[rng.next_below(kOrders.size())],
+        {.v = 1 + rng.next_below(8), .n = 1 + rng.next_below(4),
+         .f = 1 + rng.next_below(feat), .g = 1},
+        feat);
+    cfg.pes = std::size_t{1} << 20;
+    // Stalls, drains and psum spills make the total differ from the
+    // critical path, so the proportioning is not the identity.
+    cfg.bw_dist = 1 + rng.next_below(64);
+    cfg.bw_red = 1 + rng.next_below(64);
+    cfg.rf_elements = 1 + rng.next_below(32);
+
+    const auto grid = static_cast<Grid>(trial % 3);
+    const bool element = rng.next_below(2) == 0;
+    const std::size_t col_block = element ? 1 + rng.next_below(feat) : feat;
+    std::size_t row_block = 1 + rng.next_below(v);
+    TraversalMajor major = TraversalMajor::kRowMajor;
+    if (grid == Grid::kColumnMajor) major = TraversalMajor::kColumnMajor;
+    if (grid == Grid::kSingleRowBlock) row_block = v + rng.next_below(v);
+    if (grid == Grid::kRowMajor) row_block = 1 + rng.next_below(v / 2);
+    set_chunks(cfg, row_block, col_block, major);
+    const PhaseResult r = expect_reference_timeline(cfg);
+    if (r.chunk_cycles.size() > 1) {
+      ++grids_seen[static_cast<std::size_t>(grid)];
+      ++(cfg.chunks.col_blocks() > 1 ? element_seen : row_seen);
+    }
+    if (HasFailure()) return;
+  }
+  // Every grid shape and both granularities ran with a real chunk grid.
+  for (const std::size_t seen : grids_seen) EXPECT_GE(seen, 20u);
+  EXPECT_GE(element_seen, 20u);
+  EXPECT_GE(row_seen, 20u);
+}
+
+TEST(SpmmEngineTest, ChunkTimelineWithZeroCriticalPath) {
+  // No rows, so no lane ever steps: the critical path is 0 and the first
+  // chunk carries the whole (fill-only) phase.
+  const CSRGraph g = CSRGraph::from_rows({});
+  auto cfg = base_config(g, "VFN", {.v = 1, .n = 1, .f = 1, .g = 1}, 8);
+  set_chunks(cfg, 1, 1, TraversalMajor::kColumnMajor);
+  const PhaseResult r = expect_reference_timeline(cfg);
+  EXPECT_EQ(r.issue_steps, 0u);
+  ASSERT_EQ(r.chunk_cycles.size(), 8u);
+  EXPECT_EQ(r.chunk_cycles.front(), r.cycles);
+  EXPECT_EQ(r.chunk_completion.front(), r.cycles);
+}
+
+TEST(SpmmEngineTest, SaturatedChunkTimelinesMatchReference) {
+  // The 64-vertex probe graph of VeryWideFeaturesSaturateInsteadOfWrapping
+  // at feat 2^58 and 2^62. With unit feature tiles the walk saturates the
+  // critical path (cp == T == 2^64 - 1); with 1024-wide feature tiles the
+  // critical path stays near 2^54..2^58 while the starved stream pushes
+  // the total toward 2^62, so the 128-bit proportioning runs near the top
+  // of its range with carries in play.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Rng rng(41);
+  const CSRGraph g = erdos_renyi(64, 512, rng).with_self_loops();
+  std::size_t unsaturated = 0;
+  for (const int log2_feat : {58, 62}) {
+    for (const std::size_t tf : {std::size_t{1}, std::size_t{1024}}) {
+      const std::size_t feat = std::size_t{1} << log2_feat;
+      SCOPED_TRACE("feat 2^" + std::to_string(log2_feat) + ", T_F " +
+                   std::to_string(tf));
+      auto cfg = base_config(g, "FVN", {.v = 8, .n = 1, .f = tf, .g = 1},
+                             feat);
+      cfg.pes = 8 * tf;
+      cfg.bw_dist = 3;
+      set_chunks(cfg, 64, feat / 1024, TraversalMajor::kColumnMajor);
+      const PhaseResult col = expect_reference_timeline(cfg);
+      ASSERT_EQ(col.chunk_completion.size(), 1024u);
+      EXPECT_EQ(col.chunk_completion.back(), col.cycles);
+      if (col.issue_steps < col.cycles && col.cycles < kMax) ++unsaturated;
+      set_chunks(cfg, 64, feat / 7, TraversalMajor::kRowMajor);  // 1 block
+      expect_reference_timeline(cfg);
+      set_chunks(cfg, 5, feat / 16, TraversalMajor::kRowMajor);
+      const PhaseResult row = expect_reference_timeline(cfg);
+      EXPECT_EQ(row.chunk_completion.size(), 13u * 16u);
+      set_chunks(cfg, 3, feat, TraversalMajor::kRowMajor);
+      expect_reference_timeline(cfg);
+    }
+  }
+  EXPECT_EQ(unsaturated, 2u);
 }
 
 TEST(SpmmEngineTest, RejectsMissingGraph) {
